@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Every subcommand normalizes its flags into an eight-key experiment config
-(command, space, sizes, m, p, tol, seed, out), runs deterministically from
-that config, writes its result table as CSV (17 significant digits, LF line
-endings) and a JSON run record next to it. Exit codes: 0 success, 2 for
+Every subcommand normalizes its flags into a nine-key experiment config
+(command, space, sizes, m, p, tol, seed, refine, out), runs deterministically
+from that config, writes its result table as CSV (17 significant digits, LF
+line endings) and a JSON run record next to it. Exit codes: 0 success, 2 for
 validation or usage errors, 3 for numerical non-convergence.
 
 Key normalizations that are not one-to-one with flags: sample mode rides on
@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -85,7 +85,7 @@ class IoFailure(OSError):
     pass
 
 
-_CONFIG_KEYS = ("command", "space", "sizes", "m", "p", "tol", "seed", "out")
+_CONFIG_KEYS = ("command", "space", "sizes", "m", "p", "tol", "seed", "refine", "out")
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,7 @@ class ExperimentConfig:
     p: Optional[float] = None
     tol: Optional[float] = None
     seed: Optional[int] = None
+    refine: Optional[int] = None
     out: Optional[str] = None
 
     def to_dict(self) -> dict:
@@ -298,32 +299,20 @@ def _cmd_stability_converge(args) -> ExperimentConfig:
             config = ExperimentConfig.from_json(fh.read())
         if config.command != "stability converge":
             raise ConfigError(f"config is for {config.command!r}")
-        space_spec = config.space
-        sizes = config.sizes
-        m = config.m
-        out = config.out
+        if config.refine is None:
+            config = replace(config, refine=args.refine)
     else:
-        sizes = tuple(int(tok) for tok in args.sizes.split(","))
-        space_spec, m, out = args.space, args.m, args.out
-        config = ExperimentConfig(command="stability converge", space=space_spec,
-                                  sizes=sizes, m=m, out=out)
-    space, _ = parse_space(space_spec)
-    rows = convergence_experiment(space, sizes, m, refine=args.refine)
-    if args.jobs > 1:
-        # Rows are independent; recompute in a fixed-order thread map.
-        from concurrent.futures import ThreadPoolExecutor
-
-        from .stability import _circle_row
-
-        if isinstance(space, Sphere) and space.d == 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(lambda n: _circle_row(n, m, args.refine), sorted(sizes)))
+        config = ExperimentConfig(command="stability converge", space=args.space,
+                                  sizes=tuple(int(tok) for tok in args.sizes.split(",")),
+                                  m=args.m, refine=args.refine, out=args.out)
+    space, _ = parse_space(config.space)
+    rows = convergence_experiment(space, config.sizes, config.m, refine=config.refine)
     emit_table(
         ["n", "aligned_L2", "gw2_images", "w4", "hs_gap_bound_lhs", "hs_gap_bound_rhs"],
         [[r.n, r.aligned_l2, r.gw2_images, r.w4, r.hs_lhs, r.hs_rhs] for r in rows],
-        out,
+        config.out,
     )
-    print(f"convergence table for {space_spec} written to {out}")
+    print(f"convergence table for {config.space} written to {config.out}")
     return config
 
 
@@ -418,7 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--sizes", default="16,32,64,128,256,512")
     conv.add_argument("--m", type=int, default=2)
     conv.add_argument("--refine", type=int, default=4)
-    conv.add_argument("--jobs", type=int, default=1)
     conv.add_argument("--out", default="converge.csv")
     conv.add_argument("--config", default=None, help="JSON config file overriding the flags")
     conv.set_defaults(func=_cmd_stability_converge)

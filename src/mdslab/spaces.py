@@ -18,11 +18,6 @@ TWO_PI = 2.0 * math.pi
 
 WEIGHT_SUM_TOL = 1e-12
 UNIT_NORM_TOL = 1e-10
-# Exhaustive triangle checking is O(n^3); beyond this size fall back to
-# random triple sampling so validation does not dominate runtime.
-EXHAUSTIVE_TRIANGLE_MAX = 512
-RANDOM_TRIPLES_PER_POINT_SQ = 10
-RANDOM_TRIPLE_CAP = 20_000_000
 
 
 class SpaceValidationError(ValueError):
@@ -39,6 +34,10 @@ class NegativeDistance(SpaceValidationError):
 
 class NonzeroDiagonal(SpaceValidationError):
     pass
+
+
+class NonFiniteValue(SpaceValidationError):
+    """A distance or weight is NaN or infinite."""
 
 
 class TriangleViolation(SpaceValidationError):
@@ -61,8 +60,11 @@ class GridUnsupported(SpaceValidationError):
 class FiniteSpace:
     """n-point metric measure space: distances ``D`` and probability weights ``w``.
 
-    Instances are validated and immutable; build them through
-    :func:`finite_space_from_matrix` (or :func:`sample`).
+    Instances are validated and immutable. Input from outside the library
+    goes through :func:`finite_space_from_matrix` (or :func:`read_space_csv`),
+    which checks the triangle inequality exactly; spaces the library builds
+    as metrics by construction (:func:`sample`, products, Euclidean images,
+    pullbacks) get the O(n^2) checks only.
     """
 
     D: np.ndarray
@@ -78,54 +80,28 @@ class FiniteSpace:
         return float(self.D.max()) if self.n else 0.0
 
 
-def _check_triangle(D: np.ndarray, tol: float) -> None:
-    n = D.shape[0]
-    if n <= EXHAUSTIVE_TRIANGLE_MAX:
-        for k in range(n):
-            slack = D - (D[:, k][:, None] + D[k, :][None, :])
-            worst = slack.max()
-            if worst > tol:
-                i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
-                raise TriangleViolation(
-                    f"triangle inequality fails for (i={i}, j={j}, k={k}): "
-                    f"D[{i},{j}]={D[i, j]!r} > D[{i},{k}] + D[{k},{j}]={D[i, k] + D[k, j]!r}"
-                )
-        return
-    # Randomized check, deterministic for a given n.
-    m = min(RANDOM_TRIPLES_PER_POINT_SQ * n * n, RANDOM_TRIPLE_CAP)
-    rng = np.random.default_rng(0x5EED ^ n)
-    i, j, k = (rng.integers(0, n, size=m) for _ in range(3))
-    slack = D[i, j] - D[i, k] - D[k, j]
-    worst = int(np.argmax(slack))
-    if slack[worst] > tol:
-        raise TriangleViolation(
-            f"triangle inequality fails for (i={i[worst]}, j={j[worst]}, k={k[worst]})"
-        )
+def _metric_space(D: np.ndarray, w: np.ndarray) -> FiniteSpace:
+    """``FiniteSpace`` from arrays after the O(n^2) checks only: shape,
+    finiteness, symmetry, zero diagonal, nonnegativity and weights.
 
-
-def finite_space_from_matrix(
-    D: Sequence[Sequence[float]] | np.ndarray,
-    w: Sequence[float] | np.ndarray,
-    labels: Optional[Sequence[str]] = None,
-) -> FiniteSpace:
-    """Validate a distance matrix and weight vector into a ``FiniteSpace``.
-
-    Checks symmetry, zero diagonal, nonnegativity, the triangle inequality
-    (exhaustively up to n = 512, by random triples beyond), and that the
-    weights form a probability vector. Raises a named
-    :class:`SpaceValidationError` subclass pointing at the offending indices.
+    For spaces that are metrics by construction; the triangle inequality is
+    not checked. The arrays are frozen in place, not copied.
     """
-    D = np.array(D, dtype=float)
-    w = np.array(w, dtype=float)
+    D = np.asarray(D, dtype=float)
+    w = np.asarray(w, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise AsymmetricMatrix(f"distance matrix must be square, got shape {D.shape}")
     n = D.shape[0]
     if w.shape != (n,):
         raise BadWeights(f"weight vector has length {w.shape}, expected ({n},)")
-
-    asym = np.abs(D - D.T)
-    if asym.max() > 0.0:
-        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
+    if not np.isfinite(D).all():
+        i, j = np.argwhere(~np.isfinite(D))[0]
+        raise NonFiniteValue(f"D[{i},{j}]={D[i, j]!r} is not finite")
+    if not np.isfinite(w).all():
+        (i,) = np.argwhere(~np.isfinite(w))[0]
+        raise NonFiniteValue(f"w[{i}]={w[i]!r} is not finite")
+    if not np.array_equal(D, D.T):
+        i, j = np.argwhere(D != D.T)[0]
         raise AsymmetricMatrix(
             f"D[{i},{j}]={D[i, j]!r} != D[{j},{i}]={D[j, i]!r}"
         )
@@ -142,12 +118,59 @@ def finite_space_from_matrix(
     if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise BadWeights(f"weights sum to {w.sum()!r}, expected 1 within {WEIGHT_SUM_TOL}")
 
-    _check_triangle(D, tol=1e-12 * max(1.0, float(D.max())))
-
     D.setflags(write=False)
     w.setflags(write=False)
-    lab = tuple(labels) if labels is not None else None
-    return FiniteSpace(D=D, w=w, labels=lab)
+    return FiniteSpace(D=D, w=w)
+
+
+def _check_triangle(D: np.ndarray, tol: float) -> None:
+    """Exact triangle check: ``D`` must equal its shortest-path closure
+    within ``tol``.
+
+    The closure comes from Floyd-Warshall in ``scipy.sparse.csgraph``. The
+    graph is built with ``null_value=inf`` so that off-diagonal zeros
+    (pseudometric points) stay edges of length 0; a dense input would drop
+    them. On a violation, the row with the largest gap always holds a strict
+    two-step violation ``D[i,j] > D[i,k] + D[k,j]``, which the error names.
+    """
+    # Imported here: the import alone costs a few tenths of a second, and
+    # only external input pays for the exact check.
+    from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
+
+    closure = shortest_path(csgraph_from_dense(D, null_value=np.inf), method="FW")
+    gap = D - closure
+    worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    if gap[worst] <= tol:
+        return
+    i = int(worst[0])
+    two_step = D[i, :, None] + D  # [k, j] -> D[i,k] + D[k,j]
+    j = int(np.argmax(D[i] - two_step.min(axis=0)))
+    k = int(np.argmin(two_step[:, j]))
+    raise TriangleViolation(
+        f"triangle inequality fails for (i={i}, j={j}, k={k}): "
+        f"D[{i},{j}]={D[i, j]!r} > D[{i},{k}] + D[{k},{j}]={D[i, k] + D[k, j]!r}"
+    )
+
+
+def finite_space_from_matrix(
+    D: Sequence[Sequence[float]] | np.ndarray,
+    w: Sequence[float] | np.ndarray,
+    labels: Optional[Sequence[str]] = None,
+) -> FiniteSpace:
+    """Validate a distance matrix and weight vector into a ``FiniteSpace``.
+
+    For input from outside the library. Checks finiteness, symmetry, zero
+    diagonal, nonnegativity and that the weights form a probability vector,
+    then the triangle inequality exactly (shortest-path closure, O(n^3)),
+    with tolerance 1e-12 * max(1, max D). Raises a named
+    :class:`SpaceValidationError` subclass pointing at the offending indices.
+    The inputs are copied.
+    """
+    space = _metric_space(np.array(D, dtype=float), np.array(w, dtype=float))
+    _check_triangle(space.D, tol=1e-12 * max(1.0, space.diameter))
+    if labels is not None:
+        space = FiniteSpace(D=space.D, w=space.w, labels=tuple(labels))
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +338,7 @@ def sample(space: AnalyticSpace, spec: SampleSpec) -> FiniteSpace:
     rng = np.random.default_rng(spec.seed)
     D = _pairwise(space, spec.mode, spec.n, rng)
     m = D.shape[0]
-    w = np.full(m, 1.0 / m)
-    return finite_space_from_matrix(D, w)
+    return _metric_space(D, np.full(m, 1.0 / m))
 
 
 def fourth_moment_norm(space: FiniteSpace) -> float:

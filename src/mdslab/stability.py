@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,10 +32,11 @@ from .spaces import (
     Sphere,
     Torus,
     SampleSpec,
-    finite_space_from_matrix,
+    _metric_space,
     fourth_moment_norm,
     sample,
 )
+from .spaces import finite_space_from_matrix  # noqa: F401  bench/tracer.py wraps this name
 from .sphere_spectral import eigenvalue_quadrature
 
 MARGINAL_TOL = 1e-12
@@ -411,10 +412,12 @@ def pullback_operator(fine: FiniteSpace, coarse: FiniteSpace,
     """Centered operator of the coarse space pulled back to the fine index
     set through a point map: the kernel at (i, j) is the coarse kernel at
     (assign[i], assign[j]) and the centering uses the fine weights. Shares
-    the coarse nonzero spectrum when the map pushes the weights forward."""
+    the coarse nonzero spectrum when the map pushes the weights forward.
+    The pulled-back distance is a pseudometric because the coarse one is a
+    metric, so only the O(n^2) checks run."""
     assign = np.asarray(assign, dtype=int)
     D_pull = coarse.D[np.ix_(assign, assign)]
-    return double_center(finite_space_from_matrix(D_pull, fine.w))
+    return double_center(_metric_space(D_pull, fine.w))
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +445,13 @@ def circle_limit_map(thetas: np.ndarray, m: int) -> np.ndarray:
 
 
 def _image_space(points: np.ndarray, w: np.ndarray) -> FiniteSpace:
+    """Euclidean distances between embedded points: a metric by construction."""
     sq = np.sum(points**2, axis=1)
     dist_sq = np.maximum(sq[:, None] + sq[None, :] - 2.0 * points @ points.T, 0.0)
     D = np.sqrt(dist_sq)
     D = (D + D.T) / 2.0
     np.fill_diagonal(D, 0.0)
-    return finite_space_from_matrix(D, w)
+    return _metric_space(D, w)
 
 
 @dataclass(frozen=True)
@@ -523,8 +527,7 @@ def _empirical_rows(space, sizes: Sequence[int], m: int) -> list[ConvergenceRow]
 
 
 def convergence_experiment(space, sizes: Sequence[int], m: int,
-                           refine: int = 4,
-                           row_runner: Optional[Callable] = None) -> list[ConvergenceRow]:
+                           refine: int = 4) -> list[ConvergenceRow]:
     """Grid-size sweep of the finite embedding against its limit.
 
     For the circle each row reports the orthogonally aligned L^2(mu_n)
@@ -535,8 +538,7 @@ def convergence_experiment(space, sizes: Sequence[int], m: int,
     empirical-only columns (alignment against the finest grid embedding).
     """
     if isinstance(space, Sphere) and space.d == 1:
-        runner = row_runner or (lambda n: _circle_row(n, m, refine))
-        return [runner(int(n)) for n in sorted(sizes)]
+        return [_circle_row(int(n), m, refine) for n in sorted(sizes)]
     if isinstance(space, Torus):
         return _empirical_rows(space, sizes, m)
     raise UnsupportedSpace(f"no grid convergence reference for {space!r}")

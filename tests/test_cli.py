@@ -3,10 +3,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mdslab
 from conftest import equilateral_triangle
 from mdslab.cli import (
     CLAIMS,
@@ -115,6 +120,15 @@ class TestRun:
         assert code == 2
         assert "AsymmetricMatrix" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_input_exit_2(self, tmp_path, capsys, bad):
+        path = tmp_path / f"{bad}.csv"
+        path.write_text(f"n,3\n0,1,{bad}\n1,0,1\n{bad},1,0\n0.25,0.25,0.5\n")
+        code = run(["mds", "embed", "--input", str(path), "--m", "1",
+                    "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "NonFiniteValue" in capsys.readouterr().err
+
     def test_sphere_eigen_prints_fourier_value(self, capsys):
         assert run(["sphere", "eigen", "--dim", "1", "--degree", "1",
                     "--method", "quadrature"]) == 0
@@ -183,6 +197,31 @@ class TestRun:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n,aligned_L2,gw2_images,w4,hs_gap_bound_lhs,hs_gap_bound_rhs"
         assert len(lines) == 3
+
+    def test_refine_in_config_hash(self, tmp_path):
+        out = tmp_path / "conv.csv"
+        hashes, tables = [], []
+        for refine in ("2", "4"):
+            assert run(["stability", "converge", "--sizes", "16,32", "--refine", refine,
+                        "--out", str(out)]) == 0
+            record = json.loads((tmp_path / "conv.csv.run.json").read_text())
+            assert record["config"]["refine"] == int(refine)
+            hashes.append(record["config_hash"])
+            tables.append(out.read_bytes())
+        assert tables[0] != tables[1]
+        assert hashes[0] != hashes[1]
+
+    def test_import_leaves_csgraph_unloaded(self):
+        # The exact triangle check imports scipy.sparse.csgraph on first use;
+        # importing the CLI must not pay for it.
+        env = dict(os.environ)
+        src = str(Path(mdslab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, mdslab.cli; print('scipy.sparse.csgraph' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestDeterminismAndClaims:

@@ -1,17 +1,25 @@
 """Spaces: validation, analytic distances, sampling, moments, CSV round-trip."""
 from __future__ import annotations
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import equilateral_triangle, random_metric_space
+from conftest import equilateral_triangle, random_metric_space, shortest_path_completion
+from mdslab.mds_core import double_center, eigendecompose, embed
+from mdslab.products import product_space
 from mdslab.spaces import (
     AsymmetricMatrix,
     BadWeights,
+    FiniteSpace,
     GridUnsupported,
     NegativeDistance,
+    NonFiniteValue,
     NonzeroDiagonal,
     PointOffManifold,
     ProductSpace,
@@ -27,6 +35,18 @@ from mdslab.spaces import (
     sample,
     write_space_csv,
 )
+from mdslab.stability import (
+    _image_space,
+    circle_limit_map,
+    nearest_grid_assignment,
+    pullback_operator,
+)
+
+
+def named_triple(exc: TriangleViolation) -> tuple[int, int, int]:
+    """The (i, j, k) a TriangleViolation message names."""
+    found = re.search(r"\(i=(\d+), j=(\d+), k=(\d+)\)", str(exc))
+    return tuple(int(v) for v in found.groups())
 
 
 def unit(theta: float) -> np.ndarray:
@@ -76,6 +96,33 @@ class TestFiniteSpaceValidation:
         D[0, 1] = D[1, 0] = 10.0
         with pytest.raises(TriangleViolation):
             finite_space_from_matrix(D, np.full(n, 1.0 / n))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_distance_rejected(self, bad):
+        D = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        D[1, 2] = D[2, 1] = bad
+        with pytest.raises(NonFiniteValue, match=r"D\[1,2\]"):
+            finite_space_from_matrix(D, [1 / 3] * 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(NonFiniteValue, match=r"w\[1\]"):
+            finite_space_from_matrix([[0.0, 1.0], [1.0, 0.0]], [0.5, bad])
+
+    def test_violation_through_pseudometric_zero(self):
+        # Points 0 and 1 coincide, so D[0,2] = 5 > D[0,1] + D[1,2] = 1.
+        D = np.array([[0, 0, 5], [0, 0, 1], [5, 1, 0]], dtype=float)
+        with pytest.raises(TriangleViolation, match=r"\(i=0, j=2, k=1\)"):
+            finite_space_from_matrix(D, [1 / 3] * 3)
+
+    def test_planted_violation_found_and_named_at_1024(self):
+        D = np.array(sample(Sphere(1), SampleSpec(mode="grid", n=1024)).D)
+        D[0, 2] += 1e-6
+        D[2, 0] = D[0, 2]
+        with pytest.raises(TriangleViolation) as err:
+            finite_space_from_matrix(D, np.full(1024, 1.0 / 1024))
+        i, j, k = named_triple(err.value)
+        assert D[i, j] > D[i, k] + D[k, j]
 
     def test_bad_weights(self):
         with pytest.raises(BadWeights):
@@ -229,3 +276,80 @@ class TestCsvRoundTrip:
         write_space_csv(fs, str(p1))
         write_space_csv(fs, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def brute_force_violates(D: np.ndarray, tol: float) -> bool:
+    n = D.shape[0]
+    return any(D[i, j] - D[i, k] - D[k, j] > tol
+               for i, j, k in itertools.product(range(n), repeat=3))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric nonnegative matrices with zero diagonal and n <= 10: raw
+    integer matrices (off-diagonal zeros included), optionally closed under
+    shortest paths, optionally with one planted violation."""
+    n = draw(st.integers(1, 10))
+    D = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        D[i, j] = D[j, i] = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        D = shortest_path_completion(D)
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        D[i, j] += draw(st.sampled_from([1e-6, 0.5, 3.0]))
+        D[j, i] = D[i, j]
+    return D * draw(st.sampled_from([1.0, 0.1, 1e4]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_exact_check_agrees_with_all_triples_oracle(D):
+    n = D.shape[0]
+    expect = brute_force_violates(D, 1e-12 * max(1.0, float(D.max())))
+    try:
+        finite_space_from_matrix(D, np.full(n, 1.0 / n))
+        rejected = False
+    except TriangleViolation as exc:
+        rejected = True
+        i, j, k = named_triple(exc)
+        assert D[i, j] > D[i, k] + D[k, j]
+    assert rejected == expect
+
+
+def _circle_image(n: int, limit: bool):
+    fs = sample(Sphere(1), SampleSpec(mode="grid", n=n))
+    points = (circle_limit_map(2.0 * math.pi * np.arange(n) / n, 4) if limit
+              else embed(eigendecompose(double_center(fs)), 4))
+    return _image_space(points, fs.w)
+
+
+def _pullback_space():
+    fine = sample(Sphere(1), SampleSpec(mode="grid", n=128))
+    coarse = sample(Sphere(1), SampleSpec(mode="grid", n=32))
+    op = pullback_operator(fine, coarse, nearest_grid_assignment(128, 32))
+    # kernel_matrix is -D**2 / 2; the round trip through it is exact.
+    return FiniteSpace(D=np.sqrt(-2.0 * op.kernel_matrix), w=op.w)
+
+
+# Every kind of space the library builds without the triangle check.
+METRIC_BY_CONSTRUCTION = {
+    "circle_grid_512": lambda: sample(Sphere(1), SampleSpec(mode="grid", n=512)),
+    "sphere2_random_640": lambda: sample(
+        Sphere(2), SampleSpec(mode="uniform_random", n=640, seed=1)),
+    "torus2_grid": lambda: sample(Torus(2), SampleSpec(mode="grid", n=16)),
+    "snowflake_circle_0.5_grid": lambda: sample(
+        Snowflake(Sphere(1), 0.5), SampleSpec(mode="grid", n=256)),
+    "product_space": lambda: product_space(
+        sample(Sphere(1), SampleSpec(mode="grid", n=20)),
+        sample(Sphere(2), SampleSpec(mode="uniform_random", n=32, seed=1))),
+    "image_space_embedding": lambda: _circle_image(256, limit=False),
+    "image_space_limit_map": lambda: _circle_image(256, limit=True),
+    "pullback_operator": _pullback_space,
+}
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_BY_CONSTRUCTION))
+def test_metric_by_construction_passes_exact_check(name):
+    built = METRIC_BY_CONSTRUCTION[name]()
+    finite_space_from_matrix(built.D, built.w)
