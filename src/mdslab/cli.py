@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,6 +44,7 @@ from .spaces import (
     SpaceValidationError,
     Sphere,
     Torus,
+    _fmt,
     read_space_csv,
     sample,
     write_space_csv,
@@ -71,10 +72,6 @@ CLAIMS = {
     "product check": "product spectra merge from factor spectra and squared embedding distances add across factors",
     "torus check": "flat torus embedding satisfies the snowflake identity pi * sum of factor distances",
 }
-
-
-class UnknownCommand(ValueError):
-    pass
 
 
 class ConfigError(ValueError):
@@ -144,12 +141,6 @@ class RunRecord:
     config: dict
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float) or isinstance(x, np.floating):
-        return f"{float(x):.17g}"
-    return str(x)
-
-
 def emit_table(header: Sequence[str], rows: Sequence[Sequence], path: str) -> None:
     """Write a rectangular table as deterministic CSV bytes."""
     width = len(header)
@@ -157,7 +148,7 @@ def emit_table(header: Sequence[str], rows: Sequence[Sequence], path: str) -> No
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ConfigError(f"row {r} has {len(row)} cells, header has {width}")
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -299,6 +290,9 @@ def _cmd_stability_converge(args) -> ExperimentConfig:
             config = ExperimentConfig.from_json(fh.read())
         if config.command != "stability converge":
             raise ConfigError(f"config is for {config.command!r}")
+        for key in ("p", "tol", "seed"):
+            if getattr(config, key) is not None:
+                raise ConfigError(f"stability converge does not use config key {key!r}")
         if config.refine is None:
             config = replace(config, refine=args.refine)
     else:
@@ -357,7 +351,9 @@ def _cmd_torus_check(args) -> ExperimentConfig:
     return config
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: ``parse_args`` leaves it unchanged and returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="mdslab",
         description="Finite and limiting multidimensional scaling on metric measure spaces.",
@@ -446,7 +442,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         config = args.func(args)
     except (SpaceValidationError, MarginalMismatch, UnsupportedSpace, ConfigError,
-            UnknownCommand, ValueError, FileNotFoundError) as exc:
+            ValueError, FileNotFoundError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (ToleranceNotReached, QuadratureNotConverged, NoConvergence) as exc:

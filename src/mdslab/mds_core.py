@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import BadWeights, FiniteSpace
+from .spaces import BadWeights, FiniteSpace, _fmt
 
 
 class NoConvergence(RuntimeError):
@@ -300,14 +300,10 @@ def tail_diagnostic(result: EmbeddingResult, m: int) -> float:
 # CSV persistence: first line holds the eigenvalues, then n rows of u_j(x_i).
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_embedding_csv(result: EmbeddingResult, path: str) -> None:
-    lines = [",".join(_fmt(v) for v in result.eigenvalues)]
+    lines = [",".join(map(_fmt, result.eigenvalues.tolist()))]
     for row in result.U:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row.tolist())))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -18,10 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .mds_core import EmbeddingResult, double_center, eigendecompose, embed
-from .spaces import FiniteSpace, Sphere, SampleSpec, _metric_space, sample
+from .spaces import TWO_PI, FiniteSpace, Sphere, SampleSpec, _metric_space, sample
 from .spaces import finite_space_from_matrix  # noqa: F401  bench/tracer.py wraps this name
-
-TWO_PI = 2.0 * math.pi
 
 
 def product_space(A: FiniteSpace, B: FiniteSpace) -> FiniteSpace:

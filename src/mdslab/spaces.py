@@ -350,15 +350,18 @@ def fourth_moment_norm(space: FiniteSpace) -> float:
 # CSV persistence (17 significant digits, lossless for doubles)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _fmt(x) -> str:
+    """The one CSV cell format: floats to 17 significant digits (lossless), else ``str``."""
+    if isinstance(x, (float, np.floating)):
+        return f"{x:.17g}"
+    return str(x)
 
 
 def write_space_csv(space: FiniteSpace, path: str) -> None:
     lines = [f"n,{space.n}"]
     for row in space.D:
-        lines.append(",".join(_fmt(v) for v in row))
-    lines.append(",".join(_fmt(v) for v in space.w))
+        lines.append(",".join(map(_fmt, row.tolist())))
+    lines.append(",".join(map(_fmt, space.w.tolist())))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -14,14 +14,17 @@ module evaluates the eigenvalues two independent ways:
 The two agree per dimension up to a single degree-independent positive
 factor; the quadrature normalization is the one under which the truncated
 embedding satisfies ||M(x) - M(y)||^2 = pi * dist(x, y), so the quadrature
-route is treated as ground truth for every distance identity. The asymptotic
-helpers expose the summand theta_n(s), its term ratio, the peak location,
-and the n^{-d-1} decay scan for the odd-degree (positive) eigenvalues.
+route is treated as ground truth for every distance identity. The odd-degree
+(positive) eigenvalue lambda_{2n+1} = Gamma(d/2) sum_s theta_n(s) is Gauss's
+2F1(a, a; c; 1) with a = n + 1/2, c = 2n + (d+3)/2; as c - a - b = (d+1)/2 > 0,
+lambda_{2n+1} = Gamma(d/2) (sqrt(pi)/8) Gamma(n+1/2)^2 Gamma((d+1)/2) /
+Gamma(n+1+d/2)^2 ~ n^{-d-1} in closed form; theta_n, its ratio and peak stay exposed.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -125,7 +128,14 @@ class CoefficientSeries:
 # ---------------------------------------------------------------------------
 # Unimodal positive series summation with Euler-Maclaurin tail estimate
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+@lru_cache(maxsize=256)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [-1, 1], cached per node count (256 latest); shared, so read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _first_streak_end(ok: np.ndarray, carry: int, need: int) -> tuple[Optional[int], int]:
@@ -151,10 +161,11 @@ def _em_tail_over_partial(log_term: Callable[[np.ndarray], np.ndarray], s_start:
     The integral is taken under t = s_start / v^2, which turns the
     power-law tail into a polynomial-like integrand on (0, 1].
     """
-    v = 0.5 * (_GL_NODES + 1.0)
+    x, w = _gauss_legendre(64)
+    v = 0.5 * (x + 1.0)
     t = s_start / v**2
     vals = np.exp(log_term(t) - log_partial) * (2.0 * s_start / v**3)
-    integral = 0.5 * float(_GL_WEIGHTS @ vals)
+    integral = 0.5 * float(w @ vals)
     f0 = float(np.exp(log_term(np.array([s_start]))[0] - log_partial))
     h = 1e-3
     lp = float(log_term(np.array([s_start + h]))[0])
@@ -282,10 +293,6 @@ def _kernel_profile(kind: str) -> Callable[[np.ndarray], np.ndarray]:
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-_GL16 = np.polynomial.legendre.leggauss(16)
-_GL32 = np.polynomial.legendre.leggauss(32)
-
-
 def _gl_on(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
            rule: tuple[np.ndarray, np.ndarray]) -> float:
     x, w = rule
@@ -295,8 +302,8 @@ def _gl_on(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 def _adaptive_gl(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                  tol: float, depth: int = 0) -> float:
-    coarse = _gl_on(f, a, b, _GL16)
-    fine = _gl_on(f, a, b, _GL32)
+    coarse = _gl_on(f, a, b, _gauss_legendre(16))
+    fine = _gl_on(f, a, b, _gauss_legendre(32))
     if abs(fine - coarse) <= tol:
         return fine
     if depth >= 48:
@@ -361,7 +368,7 @@ def eigenvalue_quadrature(d: int, j: int, kind: str = "full") -> float:
     nu = (d - 1.0) / 2.0
 
     def value_at(nodes: int) -> float:
-        x, w = np.polynomial.legendre.leggauss(nodes)
+        x, w = _gauss_legendre(nodes)
         phi = 0.5 * math.pi * (x + 1.0)
         vals = f(phi) * _gegenbauer_normalized(j, nu, np.cos(phi)) * np.sin(phi) ** (d - 1)
         return const * 0.5 * math.pi * float(w @ vals)
@@ -525,16 +532,22 @@ class AsymptoticScan:
         return float(self.normalized.max() / self.normalized.min())
 
 
-def odd_eigenvalue_theta_sum(d: int, n: int, tol: float = 1e-8) -> float:
-    """lambda_{2n+1} of the full kernel as Gamma(d/2) * sum_s theta_n(s),
-    with peak-aware summation."""
-    log_sum = _sum_unimodal(lambda s: _log_theta_arr(d, n, s), tol)
-    return math.exp(float(gammaln(d / 2.0)) + log_sum)
+def odd_eigenvalue_theta_sum(d: int, n: int) -> float:
+    """lambda_{2n+1} of the full kernel, Gamma(d/2) * sum_s theta_n(s), in closed form.
+
+    sum_s theta_n(s) = (sqrt(pi)/8) Gamma(a)^2/Gamma(c) 2F1(a, a; c; 1) with
+    a = n + 1/2, c = 2n + (d+3)/2. Since c - a - b = (d+1)/2 > 0, Gauss's theorem
+    2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)) gives
+    Gamma(d/2) (sqrt(pi)/8) Gamma(n+1/2)^2 Gamma((d+1)/2) / Gamma(n+1+d/2)^2.
+    """
+    log_lam = (gammaln(d / 2.0) + 0.5 * LNPI - math.log(8.0) + 2.0 * gammaln(n + 0.5)
+               + gammaln((d + 1.0) / 2.0) - 2.0 * gammaln(n + 1.0 + d / 2.0))
+    return math.exp(float(log_lam))
 
 
-def asymptotic_scan(d: int, n_values: Sequence[int], tol: float = 1e-8) -> AsymptoticScan:
+def asymptotic_scan(d: int, n_values: Sequence[int]) -> AsymptoticScan:
     n_arr = np.array(sorted(n_values), dtype=int)
-    lam = np.array([odd_eigenvalue_theta_sum(d, int(n), tol) for n in n_arr])
+    lam = np.array([odd_eigenvalue_theta_sum(d, int(n)) for n in n_arr])
     normalized = lam * n_arr.astype(float) ** (d + 1)
     peaks = np.array([s_peak(d, int(n)) if n >= 1 else 0 for n in n_arr])
     return AsymptoticScan(d=d, n_values=n_arr, lam=lam, normalized=normalized, s_peaks=peaks)

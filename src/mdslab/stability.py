@@ -28,6 +28,7 @@ from .mds_core import (
     embed,
 )
 from .spaces import (
+    TWO_PI,
     FiniteSpace,
     Sphere,
     Torus,
@@ -40,7 +41,6 @@ from .spaces import finite_space_from_matrix  # noqa: F401  bench/tracer.py wrap
 from .sphere_spectral import eigenvalue_quadrature
 
 MARGINAL_TOL = 1e-12
-TWO_PI = 2.0 * math.pi
 
 
 class MarginalMismatch(ValueError):
@@ -217,12 +217,6 @@ def w4_circle_grid_numeric(n: int, cells: int = 10_000) -> float:
     step = TWO_PI / n
     disp = np.abs(((t + step / 2.0) % step) - step / 2.0)
     return float(np.mean(disp**4) ** 0.25)
-
-
-def coupling_transport_w4(coupling: Coupling, cross_dist: np.ndarray) -> float:
-    """Order-4 transport cost of a coupling given cross distances between the
-    two point sets: (sum_ij G_ij d(x_i, y_j)^4)^(1/4)."""
-    return float(np.sum(coupling.G * cross_dist**4) ** 0.25)
 
 
 def hs_gap(A: FiniteSpace, B: FiniteSpace, coupling: Coupling) -> float:

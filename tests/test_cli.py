@@ -198,6 +198,33 @@ class TestRun:
         assert lines[0] == "n,aligned_L2,gw2_images,w4,hs_gap_bound_lhs,hs_gap_bound_rhs"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("key,value", [("p", 2.0), ("tol", 1e-6), ("seed", 5)])
+    def test_converge_config_rejects_unused_keys(self, tmp_path, capsys, key, value):
+        out = tmp_path / "conv.csv"
+        cfg = ExperimentConfig(command="stability converge", space="circle",
+                               sizes=(8, 16), m=2, out=str(out), **{key: value})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        assert run(["stability", "converge", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and repr(key) in err
+        assert not out.exists()
+
+    def test_cached_parser_keeps_no_state_between_runs(self, capsys):
+        base = ["sphere", "eigen", "--dim", "1", "--degree", "1", "--method", "quadrature"]
+        assert run(base + ["--kind", "snowflake"]) == 0
+        snow = float(capsys.readouterr().out)
+        assert run(base) == 0
+        full = float(capsys.readouterr().out)
+        assert snow == pytest.approx(1.0 / math.pi, abs=1e-9)
+        assert full == pytest.approx(1.0, abs=1e-9)
+        assert run(["sphere", "eigen", "--dim", "1"]) == 2
+        capsys.readouterr()
+        assert run(base + ["--kind", "snowflake", "--help"]) == 0
+        capsys.readouterr()
+        assert run(base) == 0
+        assert float(capsys.readouterr().out) == full
+
     def test_refine_in_config_hash(self, tmp_path):
         out = tmp_path / "conv.csv"
         hashes, tables = [], []

@@ -5,12 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from mdslab.mds_core import spectral_embedding
 from mdslab.spaces import SampleSpec, Sphere, sample
 from mdslab.sphere_spectral import (
+    QUAD_TOL_FUNK,
     CoefficientSeries,
     ToleranceNotReached,
+    _gauss_legendre,
+    _gegenbauer_normalized,
+    _log_theta_arr,
     _sum_unimodal,
     alpha_ratio,
     asymptotic_scan,
@@ -123,6 +130,39 @@ class TestQuadrature:
 
     def test_funk_hecke_d2_degree1(self):
         assert eigenvalue_quadrature(2, 1, "full") == pytest.approx(math.pi**2 / 16, abs=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cached_rule_gives_uncached_bits(self, d):
+        # the Funk-Hecke doubling loop re-run inline on fresh leggauss arrays
+        const = math.exp(gammaln((d + 1.0) / 2.0) - gammaln(d / 2.0)) / math.sqrt(math.pi)
+        nu = (d - 1.0) / 2.0
+        for j in (1, 7, 64, 99):
+            def value_at(nodes):
+                x, w = np.polynomial.legendre.leggauss(nodes)
+                phi = 0.5 * math.pi * (x + 1.0)
+                vals = (-0.5 * phi**2) * _gegenbauer_normalized(j, nu, np.cos(phi)) \
+                    * np.sin(phi) ** (d - 1)
+                return const * 0.5 * math.pi * float(w @ vals)
+
+            nodes = max(64, 2 * j)
+            prev = value_at(nodes)
+            while True:
+                nodes *= 2
+                assert nodes <= 131072
+                expect = value_at(nodes)
+                if abs(expect - prev) <= QUAD_TOL_FUNK:
+                    break
+                prev = expect
+            for _ in range(2):  # the second call reads the cached rules
+                assert eigenvalue_quadrature(d, j).hex() == expect.hex()
+
+    def test_cached_rule_is_read_only(self):
+        x, w = _gauss_legendre(128)
+        assert _gauss_legendre(128)[0] is x
+        for arr in (x, w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_zonal_normalization(self):
         t = np.array([1.0])
@@ -257,6 +297,13 @@ class TestAppendixAsymptotics:
             a = odd_eigenvalue_theta_sum(d, n)
             b = eigenvalue_series(d, 2 * n + 1)
             assert a == pytest.approx(b, rel=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), n=st.integers(0, 60))
+    def test_closed_form_matches_peak_aware_sum(self, d, n):
+        log_sum = _sum_unimodal(lambda s: _log_theta_arr(d, n, s), 1e-8)
+        summed = math.exp(float(gammaln(d / 2.0)) + log_sum)
+        assert odd_eigenvalue_theta_sum(d, n) == pytest.approx(summed, rel=1e-8)
 
     def test_scan_ratio_bounds(self):
         scan1 = asymptotic_scan(1, range(5, 26))
