@@ -25,7 +25,6 @@ from .spaces import (
 from .mds_core import (
     CenteredOperator,
     EmbeddingResult,
-    KreinPoint,
     double_center,
     eigendecompose,
     embed,

@@ -4,7 +4,8 @@ Every subcommand normalizes its flags into a nine-key experiment config
 (command, space, sizes, m, p, tol, seed, refine, out), runs deterministically
 from that config, writes its result table as CSV (17 significant digits, LF
 line endings) and a JSON run record next to it. Exit codes: 0 success, 2 for
-validation or usage errors, 3 for numerical non-convergence.
+validation or usage errors (unwritable output included), 3 for numerical
+non-convergence.
 
 Key normalizations that are not one-to-one with flags: sample mode rides on
 the space string as an ``@random`` suffix, the eigenvalue method and kernel
@@ -45,6 +46,7 @@ from .spaces import (
     Sphere,
     Torus,
     _fmt,
+    _write_lines,
     read_space_csv,
     sample,
     write_space_csv,
@@ -75,10 +77,6 @@ CLAIMS = {
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class IoFailure(OSError):
     pass
 
 
@@ -149,11 +147,7 @@ def emit_table(header: Sequence[str], rows: Sequence[Sequence], path: str) -> No
         if len(row) != width:
             raise ConfigError(f"row {r} has {len(row)} cells, header has {width}")
         lines.append(",".join(map(_fmt, row)))
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    _write_lines(path, lines)
 
 
 def _write_run_record(config: ExperimentConfig, wall: float) -> None:
@@ -273,6 +267,8 @@ def _cmd_sphere_eigen(args) -> ExperimentConfig:
 def _cmd_sphere_asymptotics(args) -> ExperimentConfig:
     config = ExperimentConfig(command="sphere asymptotics", space=f"sphere:{args.dim}",
                               sizes=(args.nmin, args.nmax), out=args.out)
+    if not 1 <= args.nmin <= args.nmax:
+        raise ConfigError(f"need 1 <= --nmin <= --nmax, got {args.nmin} and {args.nmax}")
     scan = asymptotic_scan(args.dim, range(args.nmin, args.nmax + 1))
     rows = [[int(n), lam, norm] for n, lam, norm in
             zip(scan.n_values, scan.lam, scan.normalized)]
@@ -340,6 +336,8 @@ def _cmd_torus_check(args) -> ExperimentConfig:
     config = ExperimentConfig(command="torus check", space=f"torus:{args.k}",
                               sizes=(args.n, args.pairs), m=args.trunc, seed=seed,
                               out=args.out)
+    if args.k < 1 or args.pairs < 1:
+        raise ConfigError(f"need --k >= 1 and --pairs >= 1, got {args.k} and {args.pairs}")
     check = torus_check(args.n, args.k, args.trunc, n_pairs=args.pairs, seed=seed)
     if args.out:
         emit_table(
@@ -441,14 +439,14 @@ def run(argv: Sequence[str]) -> int:
     start = time.perf_counter()
     try:
         config = args.func(args)
+        _write_run_record(config, time.perf_counter() - start)
     except (SpaceValidationError, MarginalMismatch, UnsupportedSpace, ConfigError,
-            ValueError, FileNotFoundError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (ToleranceNotReached, QuadratureNotConverged, NoConvergence) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    _write_run_record(config, time.perf_counter() - start)
     return 0
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import BadWeights, FiniteSpace, _fmt
+from .spaces import BadWeights, FiniteSpace, _fmt, _write_lines
 
 
 class NoConvergence(RuntimeError):
@@ -98,34 +98,16 @@ class EmbeddingResult:
     w: np.ndarray
     positive_count: int
     negative_count: int
-    m: int
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
 
-@dataclass(frozen=True)
-class KreinPoint:
-    """Image of one point under the pair map (positive part, negative part)."""
-
-    positive_part: np.ndarray
-    negative_part: np.ndarray
-
-    @property
-    def pseudo_norm_sq(self) -> float:
-        return float(self.positive_part @ self.positive_part) - float(
-            self.negative_part @ self.negative_part
-        )
-
-
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        if out[k, j] < 0.0:
-            out[:, j] = -out[:, j]
-    return out
+    """Flip each column whose first largest-magnitude entry is negative."""
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return vecs * np.where(lead < 0.0, -1.0, 1.0)
 
 
 def _order_degenerate_blocks(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -182,7 +164,7 @@ def eigendecompose(op: CenteredOperator) -> EmbeddingResult:
     vals.setflags(write=False)
     U.setflags(write=False)
     return EmbeddingResult(
-        eigenvalues=vals, U=U, w=op.w, positive_count=pos, negative_count=neg, m=pos
+        eigenvalues=vals, U=U, w=op.w, positive_count=pos, negative_count=neg
     )
 
 
@@ -227,11 +209,12 @@ def embed_negative(result: EmbeddingResult) -> np.ndarray:
     return out
 
 
-def krein_map(result: EmbeddingResult) -> list[KreinPoint]:
-    """Combined map N = (M, M^-) into the indefinite inner-product space."""
+def krein_map(result: EmbeddingResult) -> tuple[np.ndarray, np.ndarray]:
+    """Combined map N = (M, M^-) into the indefinite inner-product space:
+    row i of ``P`` (positive part) and of ``N`` (negative part) is the image
+    of point i, and ||P_i - P_k||^2 - ||N_i - N_k||^2 = d(x_i, x_k)^2."""
     P = embed(result, max(result.positive_count, 1))[:, : result.positive_count]
-    N = embed_negative(result)
-    return [KreinPoint(positive_part=P[i].copy(), negative_part=N[i].copy()) for i in range(result.n)]
+    return P, embed_negative(result)
 
 
 def reconstruct_distance_sq(result: EmbeddingResult, i: int, j: int) -> float:
@@ -304,8 +287,7 @@ def write_embedding_csv(result: EmbeddingResult, path: str) -> None:
     lines = [",".join(map(_fmt, result.eigenvalues.tolist()))]
     for row in result.U:
         lines.append(",".join(map(_fmt, row.tolist())))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_embedding_csv(path: str) -> tuple[np.ndarray, np.ndarray]:

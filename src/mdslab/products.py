@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .mds_core import EmbeddingResult, double_center, eigendecompose, embed
-from .spaces import TWO_PI, FiniteSpace, Sphere, SampleSpec, _metric_space, sample
+from .spaces import (TWO_PI, FiniteSpace, Sphere, SampleSpec, _circle_arc, _combine,
+                     _dist_sq_matrix, _kron_sum, _metric_space, sample)
 from .spaces import finite_space_from_matrix  # noqa: F401  bench/tracer.py wraps this name
 
 
@@ -26,11 +27,7 @@ def product_space(A: FiniteSpace, B: FiniteSpace) -> FiniteSpace:
     """Explicit product: Cartesian points in C order (A-major), product
     weights, and root-sum-of-squares distances. The l2 product of two
     metrics is a metric, so only the O(n^2) checks run."""
-    sq = (A.D**2)[:, None, :, None] + (B.D**2)[None, :, None, :]
-    n = A.n * B.n
-    D = np.sqrt(sq.reshape(n, n))
-    w = np.outer(A.w, B.w).ravel()
-    return _metric_space(D, w)
+    return _metric_space(_combine(A.D, B.D, grid=True), np.outer(A.w, B.w).ravel())
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +92,6 @@ def predict_product_spectrum(specA: EmbeddingResult, specB: EmbeddingResult) -> 
     )
 
 
-def _dist_sq_matrix(points: np.ndarray) -> np.ndarray:
-    sq = np.sum(points**2, axis=1)
-    return np.maximum(sq[:, None] + sq[None, :] - 2.0 * points @ points.T, 0.0)
-
-
 def verify_product_embedding(A: FiniteSpace, B: FiniteSpace,
                              tol: Optional[float] = None) -> float:
     """Additivity of squared embedding distances over a finite product.
@@ -120,11 +112,8 @@ def verify_product_embedding(A: FiniteSpace, B: FiniteSpace,
     Ep = embed(res_p, max(res_p.positive_count, 1))
     Ea = embed(res_a, max(res_a.positive_count, 1))
     Eb = embed(res_b, max(res_b.positive_count, 1))
-    sq_p = _dist_sq_matrix(Ep)
-    sq_a = _dist_sq_matrix(Ea)
-    sq_b = _dist_sq_matrix(Eb)
-    predicted = (sq_a[:, None, :, None] + sq_b[None, :, None, :]).reshape(prod.n, prod.n)
-    err = float(np.max(np.abs(sq_p - predicted)))
+    predicted = _kron_sum(_dist_sq_matrix(Ea), _dist_sq_matrix(Eb))
+    err = float(np.max(np.abs(_dist_sq_matrix(Ep) - predicted)))
     if tol is not None and err > tol:
         raise AssertionError(f"product additivity error {err!r} exceeds {tol!r}")
     return err
@@ -163,8 +152,7 @@ def torus_check(n_per_factor: int, k_factors: int, trunc: int,
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n_per_factor, size=(n_pairs, 2, k_factors))
     thetas = TWO_PI * np.arange(n_per_factor) / n_per_factor
-    arc = np.abs(thetas[idx[:, 0, :]] - thetas[idx[:, 1, :]])
-    arc = np.minimum(arc, TWO_PI - arc)
+    arc = _circle_arc(thetas[idx[:, 0, :]], thetas[idx[:, 1, :]])
     embedded_sq = np.sum(sq_one[idx[:, 0, :], idx[:, 1, :]], axis=1)
     dist_sum = np.sum(arc, axis=1)
     target = math.pi * dist_sum

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class FiniteSpace:
 
     D: np.ndarray
     w: np.ndarray
-    labels: Optional[tuple[str, ...]] = None
 
     @property
     def n(self) -> int:
@@ -155,7 +154,6 @@ def _check_triangle(D: np.ndarray, tol: float) -> None:
 def finite_space_from_matrix(
     D: Sequence[Sequence[float]] | np.ndarray,
     w: Sequence[float] | np.ndarray,
-    labels: Optional[Sequence[str]] = None,
 ) -> FiniteSpace:
     """Validate a distance matrix and weight vector into a ``FiniteSpace``.
 
@@ -168,8 +166,6 @@ def finite_space_from_matrix(
     """
     space = _metric_space(np.array(D, dtype=float), np.array(w, dtype=float))
     _check_triangle(space.D, tol=1e-12 * max(1.0, space.diameter))
-    if labels is not None:
-        space = FiniteSpace(D=space.D, w=space.w, labels=tuple(labels))
     return space
 
 
@@ -318,12 +314,25 @@ def _pairwise(space: AnalyticSpace, mode: str, n: int, rng: np.random.Generator)
     raise TypeError(f"unknown analytic space {space!r}")
 
 
+def _kron_sum(SL: np.ndarray, SR: np.ndarray) -> np.ndarray:
+    """Kronecker sum over product points in C order (left-major): entry
+    ((a, b), (a', b')) is SL[a, a'] + SR[b, b']."""
+    nl, nr = SL.shape[0], SR.shape[0]
+    return (SL[:, None, :, None] + SR[None, :, None, :]).reshape(nl * nr, nl * nr)
+
+
 def _combine(DL: np.ndarray, DR: np.ndarray, grid: bool) -> np.ndarray:
+    """Product metric: root of the sum of squared factor distances, over the
+    Cartesian product of the points (``grid``) or pointwise."""
     if grid:
-        nl, nr = DL.shape[0], DR.shape[0]
-        sq = (DL**2)[:, None, :, None] + (DR**2)[None, :, None, :]
-        return np.sqrt(sq.reshape(nl * nr, nl * nr))
+        return np.sqrt(_kron_sum(DL**2, DR**2))
     return np.sqrt(DL**2 + DR**2)
+
+
+def _dist_sq_matrix(points: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``points``, clipped at 0."""
+    sq = np.sum(points**2, axis=1)
+    return np.maximum(sq[:, None] + sq[None, :] - 2.0 * points @ points.T, 0.0)
 
 
 def sample(space: AnalyticSpace, spec: SampleSpec) -> FiniteSpace:
@@ -357,13 +366,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_lines(path: str, lines: Sequence[str]) -> None:
+    """The one text writer: UTF-8, LF line endings, trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_space_csv(space: FiniteSpace, path: str) -> None:
     lines = [f"n,{space.n}"]
     for row in space.D:
         lines.append(",".join(map(_fmt, row.tolist())))
     lines.append(",".join(map(_fmt, space.w.tolist())))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_space_csv(path: str) -> FiniteSpace:

@@ -110,21 +110,6 @@ def coeff(kind: str, n: int) -> SignedLog:
     return SignedLog(-1, float(log_even))
 
 
-class CoefficientSeries:
-    """Accessor for one kernel's coefficient sequence."""
-
-    def __init__(self, kind: str):
-        if kind not in ("full", "snowflake"):
-            raise ValueError(f"unknown kernel kind {kind!r}")
-        self.kind = kind
-
-    def log_coeff(self, n: int) -> SignedLog:
-        return coeff(self.kind, n)
-
-    def value(self, n: int) -> float:
-        return coeff(self.kind, n).value
-
-
 # ---------------------------------------------------------------------------
 # Unimodal positive series summation with Euler-Maclaurin tail estimate
 

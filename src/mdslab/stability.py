@@ -33,6 +33,8 @@ from .spaces import (
     Sphere,
     Torus,
     SampleSpec,
+    _circle_arc,
+    _dist_sq_matrix,
     _metric_space,
     fourth_moment_norm,
     sample,
@@ -64,10 +66,6 @@ class Coupling:
     """Joint probability matrix between two finite spaces with fixed marginals."""
 
     G: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.G.shape
 
     @property
     def row_marginal(self) -> np.ndarray:
@@ -129,13 +127,41 @@ def nearest_grid_assignment(fine_n: int, coarse_n: int) -> np.ndarray:
     return ((np.arange(fine_n) + r // 2) // r) % coarse_n
 
 
-def _deterministic_assignment(coupling: Coupling) -> Optional[np.ndarray]:
-    """Column index of the single nonzero per row, or None if any row splits."""
+def _coupled_moment(coupling: Coupling, X: np.ndarray, Y: np.ndarray, p: int) -> float:
+    """sum_{i,i',j,j'} G_ij G_i'j' |X[i,i'] - Y[j,j']|^p for p in {2, 4}.
+
+    A coupling whose rows each hold one nonzero is a map i -> a[i], and the
+    sum is r^T |X - Y[a, a]|^p r over the row marginal r. Otherwise the
+    binomial expansion in G^T X^k G runs in O(n^3) instead of O(n^4); it can
+    round slightly below zero, which callers clamp.
+    """
     G = coupling.G
-    nz = G > 0.0
-    if np.all(nz.sum(axis=1) <= 1):
-        return np.argmax(G, axis=1)
-    return None
+    if G.shape != (X.shape[0], Y.shape[0]):
+        raise MarginalMismatch(
+            f"coupling shape {G.shape} does not match ({X.shape[0]}, {Y.shape[0]})"
+        )
+    r = coupling.row_marginal
+    if np.all((G > 0.0).sum(axis=1) <= 1):
+        a = np.argmax(G, axis=1)
+        # In place (the converge sweep's fine grid makes these n^2 arrays
+        # large); p is even, so no abs is needed.
+        diff = Y[np.ix_(a, a)] - X
+        diff **= p
+        return float(r @ diff @ r)
+    c = coupling.col_marginal
+    if p == 2:
+        return (
+            float(r @ X**2 @ r)
+            - 2.0 * float(np.sum((G.T @ X @ G) * Y))
+            + float(c @ Y**2 @ c)
+        )
+    return (
+        float(r @ X**4 @ r)
+        - 4.0 * float(np.sum((G.T @ X**3 @ G) * Y))
+        + 6.0 * float(np.sum((G.T @ X**2 @ G) * Y**2))
+        - 4.0 * float(np.sum((G.T @ X @ G) * Y**3))
+        + float(c @ Y**4 @ c)
+    )
 
 
 def gw_cost(coupling: Coupling, A: FiniteSpace, B: FiniteSpace, p: int) -> float:
@@ -147,33 +173,7 @@ def gw_cost(coupling: Coupling, A: FiniteSpace, B: FiniteSpace, p: int) -> float
     """
     if p not in (2, 4):
         raise ValueError(f"p must be 2 or 4, got {p}")
-    G = coupling.G
-    if G.shape != (A.n, B.n):
-        raise MarginalMismatch(f"coupling shape {G.shape} does not match ({A.n}, {B.n})")
-    assign = _deterministic_assignment(coupling)
-    if assign is not None:
-        r = coupling.row_marginal
-        diff = np.abs(A.D - B.D[np.ix_(assign, assign)]) ** p
-        total = float(r @ diff @ r)
-        return max(total, 0.0) ** (1.0 / p)
-    r = coupling.row_marginal
-    c = coupling.col_marginal
-    DA, DB = A.D, B.D
-    if p == 2:
-        total = (
-            float(r @ DA**2 @ r)
-            - 2.0 * float(np.sum((G.T @ DA @ G) * DB))
-            + float(c @ DB**2 @ c)
-        )
-    else:
-        total = (
-            float(r @ DA**4 @ r)
-            - 4.0 * float(np.sum((G.T @ DA**3 @ G) * DB))
-            + 6.0 * float(np.sum((G.T @ DA**2 @ G) * DB**2))
-            - 4.0 * float(np.sum((G.T @ DA @ G) * DB**3))
-            + float(c @ DB**4 @ c)
-        )
-    return max(total, 0.0) ** (1.0 / p)
+    return max(_coupled_moment(coupling, A.D, B.D, p), 0.0) ** (1.0 / p)
 
 
 def gw_bruteforce(A: FiniteSpace, B: FiniteSpace, p: int) -> float:
@@ -222,23 +222,7 @@ def w4_circle_grid_numeric(n: int, cells: int = 10_000) -> float:
 def hs_gap(A: FiniteSpace, B: FiniteSpace, coupling: Coupling) -> float:
     """Hilbert-Schmidt gap of the raw kernels over the coupled pair measure:
     the L^2(G x G) norm of (d_A^2 - d_B^2) / 2."""
-    G = coupling.G
-    if G.shape != (A.n, B.n):
-        raise MarginalMismatch(f"coupling shape {G.shape} does not match ({A.n}, {B.n})")
-    assign = _deterministic_assignment(coupling)
-    if assign is not None:
-        r = coupling.row_marginal
-        diff = 0.5 * (A.D**2 - B.D[np.ix_(assign, assign)] ** 2)
-        return float(np.sqrt(max(float(r @ diff**2 @ r), 0.0)))
-    r = coupling.row_marginal
-    c = coupling.col_marginal
-    DA2, DB2 = A.D**2, B.D**2
-    total = (
-        float(r @ DA2**2 @ r)
-        - 2.0 * float(np.sum((G.T @ DA2 @ G) * DB2))
-        + float(c @ DB2**2 @ c)
-    )
-    return 0.5 * math.sqrt(max(total, 0.0))
+    return 0.5 * math.sqrt(max(_coupled_moment(coupling, A.D**2, B.D**2, 2), 0.0))
 
 
 @dataclass(frozen=True)
@@ -440,9 +424,7 @@ def circle_limit_map(thetas: np.ndarray, m: int) -> np.ndarray:
 
 def _image_space(points: np.ndarray, w: np.ndarray) -> FiniteSpace:
     """Euclidean distances between embedded points: a metric by construction."""
-    sq = np.sum(points**2, axis=1)
-    dist_sq = np.maximum(sq[:, None] + sq[None, :] - 2.0 * points @ points.T, 0.0)
-    D = np.sqrt(dist_sq)
+    D = np.sqrt(_dist_sq_matrix(points))
     D = (D + D.T) / 2.0
     np.fill_diagonal(D, 0.0)
     return _metric_space(D, w)
@@ -458,25 +440,29 @@ class ConvergenceRow:
     hs_rhs: float
 
 
+def _compare_to_reference(ref: np.ndarray, E: np.ndarray,
+                          w: np.ndarray) -> tuple[float, float]:
+    """Aligned L^2(w) residual of ``E`` against ``ref``, and the order-2
+    distortion between their Euclidean images under the identity coupling."""
+    aligned = procrustes(ref, E, w).residual
+    image_fin = _image_space(E, w)
+    image_ref = _image_space(ref, w)
+    return aligned, gw_cost(coupling_identity(image_fin), image_fin, image_ref, 2)
+
+
 def _circle_row(n: int, m: int, refine: int) -> ConvergenceRow:
     space = sample(Sphere(1), SampleSpec(mode="grid", n=n))
     result = eigendecompose(double_center(space))
     E = embed(result, m)
     thetas = TWO_PI * np.arange(n) / n
-    L = circle_limit_map(thetas, m)
-    aligned = procrustes(L, E, space.w).residual
-
-    image_fin = _image_space(E, space.w)
-    image_lim = _image_space(L, space.w)
-    gw2 = gw_cost(coupling_identity(image_fin), image_fin, image_lim, 2)
+    aligned, gw2 = _compare_to_reference(circle_limit_map(thetas, m), E, space.w)
 
     fine_n = refine * n
     fine = sample(Sphere(1), SampleSpec(mode="grid", n=fine_n))
     assign = nearest_grid_assignment(fine_n, n)
     coup = coupling_nearest(fine, space, assign)
     fine_thetas = TWO_PI * np.arange(fine_n) / fine_n
-    disp = np.abs(fine_thetas - thetas[assign])
-    disp = np.minimum(disp, TWO_PI - disp)
+    disp = _circle_arc(fine_thetas, thetas[assign])
     w4_map = float(np.sum(fine.w * disp**4) ** 0.25)
     bound = check_transport_bound(fine, space, coup, w4_map)
     return ConvergenceRow(
@@ -510,11 +496,7 @@ def _empirical_rows(space, sizes: Sequence[int], m: int) -> list[ConvergenceRow]
         flat = axis.copy()
         for _ in range(k - 1):
             flat = (flat[:, None] * finest + axis[None, :]).ravel()
-        ref = fin_E[flat]
-        aligned = procrustes(ref, E, fs.w).residual
-        image_fin = _image_space(E, fs.w)
-        image_ref = _image_space(ref, fs.w)
-        gw2 = gw_cost(coupling_identity(image_fin), image_fin, image_ref, 2)
+        aligned, gw2 = _compare_to_reference(fin_E[flat], E, fs.w)
         rows.append(ConvergenceRow(n=n, aligned_l2=aligned, gw2_images=gw2,
                                    w4=math.nan, hs_lhs=math.nan, hs_rhs=math.nan))
     return rows

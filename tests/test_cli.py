@@ -129,6 +129,41 @@ class TestRun:
         assert code == 2
         assert "NonFiniteValue" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    @pytest.mark.parametrize("command", ["space gen", "mds embed", "mds krein",
+                                         "stability converge"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command, target):
+        space_csv = tmp_path / "tri.csv"
+        write_space_csv(equilateral_triangle(), str(space_csv))
+        argv = {
+            "space gen": ["space", "gen", "--space", "circle", "--n", "8"],
+            "mds embed": ["mds", "embed", "--input", str(space_csv), "--m", "2"],
+            "mds krein": ["mds", "krein", "--input", str(space_csv)],
+            "stability converge": ["stability", "converge", "--sizes", "8,16"],
+        }[command]
+        out = tmp_path / "missing" / "x.csv" if target == "missing_dir" else tmp_path
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("FileNotFoundError" if target == "missing_dir" else "IsADirectoryError") in err
+
+    def test_unwritable_run_record_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        (tmp_path / "x.csv.run.json").mkdir()
+        assert run(["space", "gen", "--space", "circle", "--n", "8", "--out", str(out)]) == 2
+        assert "IsADirectoryError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sphere", "asymptotics", "--dim", "1", "--nmin", "0", "--nmax", "3"],
+        ["sphere", "asymptotics", "--dim", "1", "--nmin", "5", "--nmax", "3"],
+        ["torus", "check", "--n", "16", "--k", "0", "--trunc", "3"],
+        ["torus", "check", "--n", "16", "--k", "1", "--trunc", "3", "--pairs", "0"],
+    ], ids=["nmin_zero", "nmin_above_nmax", "k_zero", "pairs_zero"])
+    def test_out_of_range_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sphere_eigen_prints_fourier_value(self, capsys):
         assert run(["sphere", "eigen", "--dim", "1", "--degree", "1",
                     "--method", "quadrature"]) == 0

@@ -10,6 +10,7 @@ from conftest import equilateral_triangle, four_cycle, random_metric_space, two_
 from mdslab.mds_core import (
     DimensionMismatch,
     NonUniformWeights,
+    _fix_signs,
     double_center,
     eigendecompose,
     embed,
@@ -115,6 +116,19 @@ class TestEigendecompose:
         assert np.array_equal(a.U, b.U)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
+    def test_sign_fixing_matches_column_loop(self, rng):
+        # Reference: flip column j when its first largest-magnitude entry is
+        # negative. Integer entries force ties in |v| and exact zeros.
+        for _ in range(20):
+            vecs = rng.integers(-3, 4, size=(16, 16)).astype(float)
+            want = vecs.copy()
+            for j in range(16):
+                if want[int(np.argmax(np.abs(want[:, j]))), j] < 0.0:
+                    want[:, j] = -want[:, j]
+            got = _fix_signs(vecs)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_zero_weight_rejected(self):
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         fs = finite_space_from_matrix(D, [1.0, 0.0])
@@ -172,20 +186,20 @@ class TestNegativeAndKrein:
 
     def test_four_cycle_adjacent_pair_identity(self):
         res = spectral_embedding(four_cycle())
-        pts = krein_map(res)
-        dpos = np.sum((pts[0].positive_part - pts[1].positive_part) ** 2)
-        dneg = np.sum((pts[0].negative_part - pts[1].negative_part) ** 2)
+        P, N = krein_map(res)
+        assert P.shape == (4, res.positive_count) and N.shape == (4, res.negative_count)
+        dpos = np.sum((P[0] - P[1]) ** 2)
+        dneg = np.sum((N[0] - N[1]) ** 2)
         assert dpos == pytest.approx(2.0, abs=1e-10)
         assert dneg == pytest.approx(1.0, abs=1e-10)
         assert dpos - dneg == pytest.approx(1.0, abs=1e-10)
 
     def test_pseudo_norm(self):
-        res = spectral_embedding(four_cycle())
-        for pt in krein_map(res):
-            expect = float(pt.positive_part @ pt.positive_part) - float(
-                pt.negative_part @ pt.negative_part
-            )
-            assert pt.pseudo_norm_sq == expect
+        # the indefinite square norm of point i is the centered kernel K_T(i, i)
+        op = double_center(four_cycle())
+        P, N = krein_map(eigendecompose(op))
+        pseudo = np.sum(P**2, axis=1) - np.sum(N**2, axis=1)
+        assert np.allclose(pseudo, np.diagonal(op.centered_kernel), atol=1e-12)
 
 
 class TestReconstruction:

@@ -13,7 +13,6 @@ from mdslab.mds_core import spectral_embedding
 from mdslab.spaces import SampleSpec, Sphere, sample
 from mdslab.sphere_spectral import (
     QUAD_TOL_FUNK,
-    CoefficientSeries,
     ToleranceNotReached,
     _gauss_legendre,
     _gegenbauer_normalized,
@@ -71,11 +70,9 @@ class TestCoefficients:
             rhs = a.log_abs
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
-    def test_series_accessor(self):
-        cs = CoefficientSeries("full")
-        assert cs.value(3) == coeff("full", 3).value
+    def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            CoefficientSeries("bogus")
+            coeff("bogus", 3)
 
 
 class TestSeriesEvaluator:

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import equilateral_triangle, random_metric_space, two_points
+from conftest import equilateral_triangle, random_metric_space, shortest_path_completion, two_points
 from mdslab.mds_core import double_center, eigendecompose
 from mdslab.spaces import SampleSpec, Sphere, Torus, finite_space_from_matrix, fourth_moment_norm, sample
 from mdslab.stability import (
@@ -47,6 +49,19 @@ def gw_cost_bruteloop(G, DA, DB, p):
                 for j2 in range(m):
                     total += G[i, j] * G[i2, j2] * abs(DA[i, i2] - DB[j, j2]) ** p
     return total ** (1.0 / p)
+
+
+def hs_gap_bruteloop(G, DA, DB):
+    """Quadruple-loop oracle for the Hilbert-Schmidt kernel gap."""
+    total = 0.0
+    n, m = G.shape
+    for i in range(n):
+        for j in range(m):
+            for i2 in range(n):
+                for j2 in range(m):
+                    diff = 0.5 * (DA[i, i2] ** 2 - DB[j, j2] ** 2)
+                    total += G[i, j] * G[i2, j2] * diff**2
+    return math.sqrt(total)
 
 
 class TestCouplings:
@@ -119,6 +134,62 @@ class TestGwCost:
                 assert gw_cost(ident, A, B, p) >= gw_bruteforce(A, B, p) - 1e-12
 
 
+@st.composite
+def coupled_pair(draw):
+    """Random metric spaces A (n <= 6) and B (m <= 6) with a coupling that is
+    a deterministic map, the product coupling, or a mixture of the two. B's
+    weights are the pushforward of A's under the map, so every kind has the
+    same marginals."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    dist = st.floats(0.1, 3.0)
+
+    def metric(k):
+        raw = np.array(draw(st.lists(dist, min_size=k * k, max_size=k * k))).reshape(k, k)
+        raw = (raw + raw.T) / 2.0
+        np.fill_diagonal(raw, 0.0)
+        return shortest_path_completion(raw)
+
+    wA = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    wA /= wA.sum()
+    assign = np.array(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    wB = np.bincount(assign, weights=wA, minlength=m)
+    A = finite_space_from_matrix(metric(n), wA)
+    B = finite_space_from_matrix(metric(m), wB)
+    kind = draw(st.sampled_from(["map", "product", "mixture"]))
+    if kind == "map":
+        return A, B, coupling_nearest(A, B, assign)
+    if kind == "product":
+        return A, B, coupling_product(A, B)
+    t = draw(st.floats(0.1, 0.9))
+    G = t * coupling_nearest(A, B, assign).G + (1.0 - t) * np.outer(A.w, B.w)
+    return A, B, make_coupling(G, A, B)
+
+
+class TestDistortionProperties:
+    """Both branches of the shared coupled-moment sum (row-wise maps and the
+    binomial expansion for split rows) against the quadruple-loop oracles.
+    Moments are compared before the root, where the expansion's round-off is
+    additive in the size of its terms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coupled_pair())
+    def test_gw_cost_matches_oracle(self, case):
+        A, B, c = case
+        scale = max(A.diameter, B.diameter, 1.0)
+        for p in (2, 4):
+            want = gw_cost_bruteloop(c.G, A.D, B.D, p) ** p
+            assert gw_cost(c, A, B, p) ** p == pytest.approx(want, rel=1e-9, abs=1e-12 * scale**p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coupled_pair())
+    def test_hs_gap_matches_oracle(self, case):
+        A, B, c = case
+        scale = max(A.diameter, B.diameter, 1.0)
+        want = hs_gap_bruteloop(c.G, A.D, B.D) ** 2
+        assert hs_gap(A, B, c) ** 2 == pytest.approx(want, rel=1e-9, abs=1e-12 * scale**4)
+
+
 class TestGwBruteforce:
     def test_relabeled_copy_is_zero(self, rng):
         A = random_metric_space(rng, 5)
@@ -166,14 +237,7 @@ class TestHsGapAndBounds:
         A = random_metric_space(rng, 4, uniform=False)
         B = random_metric_space(rng, 5, uniform=False)
         c = coupling_product(A, B)
-        total = 0.0
-        for i in range(4):
-            for j in range(5):
-                for i2 in range(4):
-                    for j2 in range(5):
-                        diff = 0.5 * (A.D[i, i2] ** 2 - B.D[j, j2] ** 2)
-                        total += c.G[i, j] * c.G[i2, j2] * diff**2
-        assert hs_gap(A, B, c) == pytest.approx(math.sqrt(total), rel=1e-10)
+        assert hs_gap(A, B, c) == pytest.approx(hs_gap_bruteloop(c.G, A.D, B.D), rel=1e-10)
 
     def test_scaled_space_first_order(self, rng):
         # B = (1+eps) A makes every inequality step an equality, so the gap
