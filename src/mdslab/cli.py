@@ -46,7 +46,7 @@ from .spaces import (
     Sphere,
     Torus,
     _fmt,
-    _write_lines,
+    _write_csv,
     read_space_csv,
     sample,
     write_space_csv,
@@ -147,7 +147,7 @@ def emit_table(header: Sequence[str], rows: Sequence[Sequence], path: str) -> No
         if len(row) != width:
             raise ConfigError(f"row {r} has {len(row)} cells, header has {width}")
         lines.append(",".join(map(_fmt, row)))
-    _write_lines(path, lines)
+    _write_csv(path, lines, ())
 
 
 def _write_run_record(config: ExperimentConfig, wall: float) -> None:
@@ -320,7 +320,7 @@ def _cmd_product_check(args) -> ExperimentConfig:
     direct_nz = np.array([v for v in direct.eigenvalues if v != 0.0])
     k = min(pred.eigenvalues.size, direct_nz.size)
     spectrum_err = float(np.max(np.abs(np.sort(pred.eigenvalues)[::-1][:k] - direct_nz[:k]))) if k else 0.0
-    additivity_err = verify_product_embedding(A, B)
+    additivity_err = verify_product_embedding(pred, direct)
     rows = [[int(i + 1), pred.eigenvalues[i],
              direct_nz[i] if i < direct_nz.size else 0.0] for i in range(pred.eigenvalues.size)]
     emit_table(["rank", "merged_lambda", "direct_lambda"], rows, args.out)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import BadWeights, FiniteSpace, _fmt, _write_lines
+from .spaces import BadWeights, FiniteSpace, _read_csv, _write_csv
 
 
 class NoConvergence(RuntimeError):
@@ -284,15 +284,9 @@ def tail_diagnostic(result: EmbeddingResult, m: int) -> float:
 
 
 def write_embedding_csv(result: EmbeddingResult, path: str) -> None:
-    lines = [",".join(map(_fmt, result.eigenvalues.tolist()))]
-    for row in result.U:
-        lines.append(",".join(map(_fmt, row.tolist())))
-    _write_lines(path, lines)
+    _write_csv(path, [], [result.eigenvalues[None, :], result.U])
 
 
 def read_embedding_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    lam = np.array([float(v) for v in lines[0].split(",")])
-    U = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return lam, U
+    _, rows = _read_csv(path, 0)
+    return rows[0], rows[1:]

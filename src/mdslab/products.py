@@ -92,12 +92,13 @@ def predict_product_spectrum(specA: EmbeddingResult, specB: EmbeddingResult) -> 
     )
 
 
-def verify_product_embedding(A: FiniteSpace, B: FiniteSpace,
+def verify_product_embedding(prediction: ProductPrediction, direct: EmbeddingResult,
                              tol: Optional[float] = None) -> float:
     """Additivity of squared embedding distances over a finite product.
 
-    Embeds the explicit product space and both factors at full positive rank
-    and returns the max over all point pairs of
+    Embeds the decomposition ``direct`` of the explicit product space and
+    the two factor decompositions held by ``prediction`` at full positive
+    rank and returns the max over all point pairs of
 
         | ||M(x)-M(y)||^2 - ||M1(x1)-M1(y1)||^2 - ||M2(x2)-M2(y2)||^2 |.
 
@@ -105,13 +106,8 @@ def verify_product_embedding(A: FiniteSpace, B: FiniteSpace,
     block sums compared here are invariant under that mixing. If ``tol`` is
     given, an AssertionError is raised when it is exceeded.
     """
-    prod = product_space(A, B)
-    res_p = eigendecompose(double_center(prod))
-    res_a = eigendecompose(double_center(A))
-    res_b = eigendecompose(double_center(B))
-    Ep = embed(res_p, max(res_p.positive_count, 1))
-    Ea = embed(res_a, max(res_a.positive_count, 1))
-    Eb = embed(res_b, max(res_b.positive_count, 1))
+    Ep, Ea, Eb = (embed(res, max(res.positive_count, 1))
+                  for res in (direct, prediction.left, prediction.right))
     predicted = _kron_sum(_dist_sq_matrix(Ea), _dist_sq_matrix(Eb))
     err = float(np.max(np.abs(_dist_sq_matrix(Ep) - predicted)))
     if tol is not None and err > tol:

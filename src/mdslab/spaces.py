@@ -358,37 +358,45 @@ def fourth_moment_norm(space: FiniteSpace) -> float:
 # ---------------------------------------------------------------------------
 # CSV persistence (17 significant digits, lossless for doubles)
 
+_FLOAT_FMT = "%.17g"
+
 
 def _fmt(x) -> str:
-    """The one CSV cell format: floats to 17 significant digits (lossless), else ``str``."""
+    """One CSV cell of a mixed-type row: floats at ``_FLOAT_FMT``, else ``str``."""
     if isinstance(x, (float, np.floating)):
-        return f"{x:.17g}"
+        return _FLOAT_FMT % x
     return str(x)
 
 
-def _write_lines(path: str, lines: Sequence[str]) -> None:
-    """The one text writer: UTF-8, LF line endings, trailing newline."""
+def _write_csv(path: str, lines: Sequence[str], blocks: Sequence[np.ndarray]) -> None:
+    """The one text writer (UTF-8, LF): ``lines`` verbatim, then the rows of each
+    2-D float block, comma-separated at ``_FLOAT_FMT`` (a single row as ``x[None, :]``)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+        for block in blocks:
+            np.savetxt(fh, block, fmt=_FLOAT_FMT, delimiter=",")
+
+
+def _read_csv(path: str, head: int) -> tuple[list[str], np.ndarray]:
+    """The one array reader, inverse of :func:`_write_csv`: the first ``head`` lines as
+    text, the rest as one float matrix. Blank lines, cell padding and CRLF are ignored."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if len(lines) <= head:
+        raise SpaceValidationError(f"{path!r} has {len(lines)} non-blank lines, need over {head}")
+    return lines[:head], np.loadtxt(lines[head:], delimiter=",", comments=None, ndmin=2)
 
 
 def write_space_csv(space: FiniteSpace, path: str) -> None:
-    lines = [f"n,{space.n}"]
-    for row in space.D:
-        lines.append(",".join(map(_fmt, row.tolist())))
-    lines.append(",".join(map(_fmt, space.w.tolist())))
-    _write_lines(path, lines)
+    _write_csv(path, [f"n,{space.n}"], [space.D, space.w[None, :]])
 
 
 def read_space_csv(path: str) -> FiniteSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split(",")
+    (header,), rows = _read_csv(path, 1)
+    head = header.split(",")
     if len(head) != 2 or head[0] != "n":
-        raise SpaceValidationError(f"bad header line {lines[0]!r}, expected 'n,<count>'")
+        raise SpaceValidationError(f"bad header line {header!r}, expected 'n,<count>'")
     n = int(head[1])
-    if len(lines) != n + 2:
-        raise SpaceValidationError(f"expected {n + 2} lines, found {len(lines)}")
-    D = np.array([[float(v) for v in lines[1 + i].split(",")] for i in range(n)])
-    w = np.array([float(v) for v in lines[1 + n].split(",")])
-    return finite_space_from_matrix(D, w)
+    if rows.shape[0] != n + 1:
+        raise SpaceValidationError(f"expected {n + 2} lines, found {rows.shape[0] + 1}")
+    return finite_space_from_matrix(rows[:n], rows[n])

@@ -420,9 +420,10 @@ def sphere_spectrum(d: int, max_degree: int, tol: float = 1e-9) -> SphereSpectru
 
 
 def truncated_embedding_dist_sq(d: int, trunc_degree: int, cos_angles: np.ndarray,
-                                eigenvalues: Optional[dict[int, float]] = None) -> np.ndarray:
+                                eigenvalues: dict[int, float]) -> np.ndarray:
     """Truncated squared embedding distance between sphere points at the given
-    cosines of geodesic angle, using quadrature eigenvalues:
+    cosines of geodesic angle, from the table ``eigenvalues`` (odd degree j ->
+    lambda_j of the full kernel):
 
         sum_{j odd <= trunc} 2 lambda_j N(d, j) (1 - G_j(cos theta)),
 
@@ -431,8 +432,7 @@ def truncated_embedding_dist_sq(d: int, trunc_degree: int, cos_angles: np.ndarra
     cos_angles = np.asarray(cos_angles, dtype=float)
     out = np.zeros_like(cos_angles)
     for j in range(1, trunc_degree + 1, 2):
-        lam = eigenvalues[j] if eigenvalues is not None else eigenvalue_quadrature(d, j, "full")
-        out += 2.0 * lam * multiplicity(d, j) * (1.0 - zonal_value(d, j, cos_angles))
+        out += 2.0 * eigenvalues[j] * multiplicity(d, j) * (1.0 - zonal_value(d, j, cos_angles))
     return out
 
 

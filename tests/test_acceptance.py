@@ -267,7 +267,7 @@ def test_criterion_12_product_torus():
         nz = np.sort(direct.eigenvalues[direct.eigenvalues != 0.0])
         assert nz.size == pred.eigenvalues.size
         assert np.max(np.abs(nz - np.sort(pred.eigenvalues))) <= 1e-8
-        assert verify_product_embedding(A, B) <= 1e-8
+        assert verify_product_embedding(pred, direct) <= 1e-8
     chk = torus_check(256, 2, 99, n_pairs=1000, seed=12)
     assert chk.max_error <= 0.1
     elapsed = time.perf_counter() - start

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import mdslab
+import mdslab.cli
+import mdslab.products
 from conftest import equilateral_triangle
 from mdslab.cli import (
     CLAIMS,
@@ -22,6 +24,7 @@ from mdslab.cli import (
     parse_space,
     run,
 )
+from mdslab.mds_core import eigendecompose
 from mdslab.spaces import Sphere, Snowflake, Torus, read_space_csv, write_space_csv
 
 
@@ -129,6 +132,22 @@ class TestRun:
         assert code == 2
         assert "NonFiniteValue" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,error", [
+        ("", "SpaceValidationError"),
+        ("\n  \n", "SpaceValidationError"),
+        ("n,2\n", "SpaceValidationError"),
+        ("0,1\n1,0\n0.5,0.5\n", "SpaceValidationError"),
+        ("n,3\n0,1,1\n1,0\n1,1,0\n0.25,0.25,0.5\n", "ValueError"),
+        ("n,2\n# note\n0,1\n1,0\n0.5,0.5\n", "ValueError"),
+    ], ids=["empty", "blank_only", "header_only", "headerless", "ragged_row", "comment_line"])
+    def test_malformed_space_file_exit_2(self, tmp_path, capsys, text, error):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code = run(["mds", "embed", "--input", str(path), "--m", "1",
+                    "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"error: {error}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("target", ["missing_dir", "directory"])
     @pytest.mark.parametrize("command", ["space gen", "mds embed", "mds krein",
                                          "stability converge"])
@@ -215,6 +234,23 @@ class TestRun:
         assert code == 0
         text = capsys.readouterr().out
         assert "spectrum merge max error" in text
+
+    def test_product_check_decomposes_each_space_once(self, tmp_path, monkeypatch, capsys):
+        sizes = []
+
+        def counting(op):
+            sizes.append(op.n)
+            return eigendecompose(op)
+
+        for module in (mdslab.cli, mdslab.products):
+            monkeypatch.setattr(module, "eigendecompose", counting)
+        paths = [tmp_path / "c6.csv", tmp_path / "c5.csv"]
+        for n, path in zip((6, 5), paths):
+            assert run(["space", "gen", "--space", "circle", "--n", str(n),
+                        "--out", str(path)]) == 0
+        assert run(["product", "check", "--factors", f"{paths[0]},{paths[1]}",
+                    "--out", str(tmp_path / "prod.csv")]) == 0
+        assert sizes == [6, 5, 30]
 
     def test_torus_check_cli(self, tmp_path, capsys):
         code = run(["torus", "check", "--n", "32", "--k", "2", "--trunc", "15",

@@ -9,9 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import equilateral_triangle, random_metric_space, shortest_path_completion
-from mdslab.mds_core import double_center, eigendecompose, embed
+from mdslab.mds_core import (
+    EmbeddingResult,
+    double_center,
+    eigendecompose,
+    embed,
+    read_embedding_csv,
+    spectral_embedding,
+    write_embedding_csv,
+)
 from mdslab.products import product_space
 from mdslab.spaces import (
     AsymmetricMatrix,
@@ -28,6 +37,8 @@ from mdslab.spaces import (
     Sphere,
     Torus,
     TriangleViolation,
+    _fmt,
+    _read_csv,
     distance,
     finite_space_from_matrix,
     fourth_moment_norm,
@@ -276,6 +287,87 @@ class TestCsvRoundTrip:
         write_space_csv(fs, str(p1))
         write_space_csv(fs, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def reference_csv_row(row: np.ndarray) -> str:
+    """The per-cell formatting the array writer must reproduce byte for byte."""
+    return ",".join(map(_fmt, row.tolist()))
+
+
+def bits(x: np.ndarray) -> bytes:
+    return np.ascontiguousarray(x, dtype=np.float64).tobytes()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e22, 0.1]
+
+
+@st.composite
+def float_tables(draw):
+    """A float64 matrix of shape 1x1, 1xk or kxk (k <= 6) and a length-k row."""
+    k = draw(st.integers(1, 6))
+    rows = draw(st.sampled_from([1, k]))
+    cells = st.one_of(st.sampled_from(EDGE_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False, width=64),
+                      st.integers(-10**6, 10**6).map(float))
+    return (draw(arrays(np.float64, (rows, k), elements=cells)),
+            draw(arrays(np.float64, k, elements=cells)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_tables())
+def test_csv_codec_lossless_and_matches_cell_format(tmp_path_factory, table):
+    """Both array writers emit exactly the per-cell ``_fmt`` bytes, and the
+    reader gives back the same bits."""
+    M, row = table
+    tmp = tmp_path_factory.mktemp("codec")
+    space_path, emb_path = tmp / "space.csv", tmp / "emb.csv"
+
+    write_space_csv(FiniteSpace(D=M, w=row), str(space_path))
+    want = [f"n,{M.shape[0]}"] + [reference_csv_row(r) for r in M] + [reference_csv_row(row)]
+    assert space_path.read_bytes() == ("\n".join(want) + "\n").encode()
+    (header,), back = _read_csv(str(space_path), 1)
+    assert header == want[0]
+    assert bits(back) == bits(np.vstack([M, row]))
+
+    write_embedding_csv(EmbeddingResult(eigenvalues=row, U=M, w=row, positive_count=0,
+                                        negative_count=0), str(emb_path))
+    want = [reference_csv_row(row)] + [reference_csv_row(r) for r in M]
+    assert emb_path.read_bytes() == ("\n".join(want) + "\n").encode()
+    lam, U = read_embedding_csv(str(emb_path))
+    assert bits(lam) == bits(row) and bits(U) == bits(M)
+
+
+LAYOUTS = {
+    "blank_lines": lambda text: "\n" + text.replace("\n", "\n\n"),
+    "whitespace_lines": lambda text: " \t\n" + text.replace("\n", "\n   \n"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    # The header key stays exact ("n ,5" is rejected); its count may be padded.
+    "padded_cells": lambda text: "\n".join(
+        f"  {ln.replace(',', ', ' if ln.startswith('n,') else ' , ')} " for ln in text.split("\n")),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("kind", ["space", "embedding"])
+def test_readers_accept_layout_variants(tmp_path, rng, kind, layout):
+    fs = random_metric_space(rng, 5, uniform=False)
+    canon, variant = tmp_path / "canon.csv", tmp_path / "variant.csv"
+    if kind == "space":
+        write_space_csv(fs, str(canon))
+
+        def read(path):
+            back = read_space_csv(str(path))
+            return back.D, back.w
+    else:
+        write_embedding_csv(spectral_embedding(fs), str(canon))
+
+        def read(path):
+            return read_embedding_csv(str(path))
+    variant.write_bytes(LAYOUTS[layout](canon.read_text()).encode())
+    assert variant.read_bytes() != canon.read_bytes()
+    for got, want in zip(read(variant), read(canon)):
+        assert bits(got) == bits(want)
 
 
 def brute_force_violates(D: np.ndarray, tol: float) -> bool:
