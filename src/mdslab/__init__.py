@@ -38,16 +38,15 @@ from .mds_core import (
 )
 from .sphere_spectral import (
     AsymptoticScan,
-    SphereSpectrum,
     alpha_ratio,
     asymptotic_scan,
     coeff,
+    eigenvalue_closed,
     eigenvalue_quadrature,
     eigenvalue_series,
     multiplicity,
     s_peak,
     snowflake_identity_error,
-    sphere_spectrum,
     theta,
 )
 from .stability import (

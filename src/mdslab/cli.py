@@ -3,9 +3,9 @@
 Every subcommand normalizes its flags into a nine-key experiment config
 (command, space, sizes, m, p, tol, seed, refine, out), runs deterministically
 from that config, writes its result table as CSV (17 significant digits, LF
-line endings) and a JSON run record next to it. Exit codes: 0 success, 2 for
-validation or usage errors (unwritable output included), 3 for numerical
-non-convergence.
+line endings) and a JSON run record next to it, whose hash also covers the
+contents of the input files. Exit codes: 0 success, 2 for validation or usage
+errors (unwritable output included), 3 for numerical non-convergence.
 
 Key normalizations that are not one-to-one with flags: sample mode rides on
 the space string as an ``@random`` suffix, the eigenvalue method and kernel
@@ -33,7 +33,7 @@ from .mds_core import (
     double_center,
     eigendecompose,
     embed,
-    embed_negative,
+    embed_negative,  # noqa: F401  bench/tracer.py wraps this name
     reconstruction_matrix,
     write_embedding_csv,
 )
@@ -68,8 +68,8 @@ CLAIMS = {
     "space gen": "construction and validation of finite metric measure spaces, grid and seeded random sampling",
     "mds embed": "double-centered spectral embedding; embedded distances dominate the input metric and reproduce it exactly on Euclidean-embeddable spaces",
     "mds krein": "signed spectral decomposition reconstructs squared distances exactly through the indefinite pair map",
-    "sphere eigen": "sphere kernel eigenvalues: series and quadrature evaluators agree per dimension up to one degree-independent factor; odd degrees are positive",
-    "sphere asymptotics": "positive sphere eigenvalues decay like n^(-d-1), with the summand peaking at s = Theta(n^2)",
+    "sphere eigen": "sphere kernel eigenvalues: quadrature matches the closed form lambda_j, the series gives c_d * lambda_j with c_d = sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2)); odd degrees are positive",
+    "sphere asymptotics": "the ground-truth positive eigenvalues lambda_{2n+1} decay like n^(-d-1): n^(d+1) lambda_{2n+1} tends to Gamma((d+1)/2)^2 / 4, with the series summand peaking at s = Theta(n^2)",
     "stability converge": "circle grid embeddings converge to the limit map after orthogonal alignment, with coupling-wise kernel-gap bounds",
     "product check": "product spectra merge from factor spectra and squared embedding distances add across factors",
     "torus check": "flat torus embedding satisfies the snowflake identity pi * sum of factor distances",
@@ -130,13 +130,16 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class RunRecord:
     """Provenance of one run; identical config hashes imply byte-identical
-    result tables (wall time is informational only)."""
+    result tables (wall time is informational only). The hash covers the
+    config JSON and the sha256 of every input file, in order."""
 
     config_hash: str
     version: str
     wall_time_s: float
     result_path: Optional[str]
     config: dict
+    input_sha256: list[str]
+    result_sha256: str
 
 
 def emit_table(header: Sequence[str], rows: Sequence[Sequence], path: str) -> None:
@@ -150,15 +153,35 @@ def emit_table(header: Sequence[str], rows: Sequence[Sequence], path: str) -> No
     _write_csv(path, lines, ())
 
 
+def _file_sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        # 64 KiB blocks: whole-file and 1 MiB reads of MB-sized inputs raised peak RSS
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _input_paths(config: ExperimentConfig) -> list[str]:
+    """Files a command reads; their paths are its ``space``."""
+    if config.command == "product check":
+        return config.space.split(",")
+    return [config.space] if config.command in ("mds embed", "mds krein") else []
+
+
 def _write_run_record(config: ExperimentConfig, wall: float) -> None:
     if config.out is None:
         return
+    inputs = [_file_sha256(path) for path in _input_paths(config)]
+    hashed = "\n".join([config.to_json(), *inputs])  # the bare config JSON when nothing is read
     record = RunRecord(
-        config_hash=config.config_hash,
+        config_hash=hashlib.sha256(hashed.encode("utf-8")).hexdigest(),
         version=__version__,
         wall_time_s=wall,
         result_path=config.out,
         config=config.to_dict(),
+        input_sha256=inputs,
+        result_sha256=_file_sha256(config.out),
     )
     with open(config.out + ".run.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(asdict(record), fh, sort_keys=True, indent=1)
@@ -239,10 +262,9 @@ def _cmd_mds_krein(args) -> ExperimentConfig:
     write_embedding_csv(result, args.out)
     recon = reconstruction_matrix(result)
     err = float(np.max(np.abs(recon - fs.D**2)))
-    neg = embed_negative(result)
     print(
         f"signed spectrum: {result.positive_count} positive, {result.negative_count} negative; "
-        f"max |reconstructed - d^2| = {_fmt(err)}; negative part dimension {neg.shape[1]}"
+        f"max |reconstructed - d^2| = {_fmt(err)}; negative part dimension {result.negative_count}"
     )
     return config
 

@@ -2,23 +2,28 @@
 
 The zonal kernels k(x, y) = -arccos(x.y)^2 / 2 (full) and -arccos(x.y) / 2
 (snowflake, the square-root metric transform) act on L^2 of the uniformly
-measured sphere S^d. Spherical harmonics of degree j are eigenfunctions; this
-module evaluates the eigenvalues two independent ways:
+measured sphere S^d. Spherical harmonics of degree j are eigenfunctions, and
+for j >= 1 the full kernel's eigenvalue is, in closed form,
 
-* a power-series route through the Taylor coefficients of arccos^2 and
-  arccos, summed in log space with a tail estimate (the summand is unimodal
-  with a peak at s = Theta(n^2), so naive early stopping is wrong);
-* a quadrature route: Fourier coefficients for d = 1 and the Funk-Hecke
-  pairing against normalized Gegenbauer polynomials for d >= 2.
+    lambda_j = (-1)^(j+1) [Gamma((d+1)/2) Gamma(j/2) / (2 Gamma((j+d+1)/2))]^2
 
-The two agree per dimension up to a single degree-independent positive
-factor; the quadrature normalization is the one under which the truncated
-embedding satisfies ||M(x) - M(y)||^2 = pi * dist(x, y), so the quadrature
-route is treated as ground truth for every distance identity. The odd-degree
-(positive) eigenvalue lambda_{2n+1} = Gamma(d/2) sum_s theta_n(s) is Gauss's
-2F1(a, a; c; 1) with a = n + 1/2, c = 2n + (d+3)/2; as c - a - b = (d+1)/2 > 0,
-lambda_{2n+1} = Gamma(d/2) (sqrt(pi)/8) Gamma(n+1/2)^2 Gamma((d+1)/2) /
-Gamma(n+1+d/2)^2 ~ n^{-d-1} in closed form; theta_n, its ratio and peak stay exposed.
+(``eigenvalue_closed``; the snowflake kernel has lambda_j / pi at odd j and
+0 at even j >= 2; background: Schoenberg, "Positive definite functions on
+spheres", 1942). It is the normalization under which the truncated embedding
+satisfies ||M(x) - M(y)||^2 = pi * dist(x, y), and the only eigenvalue source
+of that identity, the n^{-d-1} decay scan and the circle limit map. Two
+independent evaluators stay as its oracles:
+
+* a power-series route through the Taylor coefficients of arccos^2, summed
+  in log space with a tail estimate (the summand is unimodal with a peak at
+  s = Theta(n^2), so naive early stopping is wrong). It carries the factor
+  c_d = sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2)) (pi/2, 1, pi/4 for
+  d = 1, 2, 3): series = c_d * lambda_j;
+* a quadrature route: the Funk-Hecke pairing of the kernel profile with the
+  normalized zonal function (cos(j phi) for d = 1).
+
+At odd degree j = 2n + 1 the series is Gamma(d/2) sum_s theta_n(s); theta_n,
+its term ratio and peak stay exposed for the decay analysis.
 """
 from __future__ import annotations
 
@@ -35,7 +40,6 @@ LNPI = math.log(math.pi)
 
 SERIES_TERM_BUDGET = 10**7
 SERIES_CONSECUTIVE = 8
-QUAD_TOL_D1 = 1e-10
 QUAD_TOL_FUNK = 1e-9
 
 
@@ -65,6 +69,30 @@ class SignedLog:
         return self.sign * math.exp(self.log_abs)
 
 
+def _log_coeff_full_arr(n2: np.ndarray, j_parity_odd: bool) -> np.ndarray:
+    """log |a_{n2}| for an array of (real) indices n2 of fixed parity."""
+    if j_parity_odd:
+        m = (n2 - 1.0) / 2.0
+        return (
+            LNPI
+            + gammaln(2.0 * m + 1.0)
+            - np.log(2.0 * m + 1.0)
+            - (2.0 * m + 1.0) * LN2
+            - 2.0 * gammaln(m + 1.0)
+        )
+    m = np.maximum((n2 - 2.0) / 2.0, -0.25)
+    vals = (
+        2.0 * m * LN2
+        + 2.0 * gammaln(m + 1.0)
+        - LN2
+        - np.log(m + 1.0)
+        - np.log(2.0 * m + 1.0)
+        - gammaln(2.0 * m + 1.0)
+    )
+    # n2 == 0 is the constant coefficient -pi^2/8, outside the even formula
+    return np.where(n2 < 0.5, 2.0 * LNPI - math.log(8.0), vals)
+
+
 def coeff(kind: str, n: int) -> SignedLog:
     """Taylor coefficient of the zonal kernel in powers of the cosine.
 
@@ -74,40 +102,19 @@ def coeff(kind: str, n: int) -> SignedLog:
     -4^m (m!)^2 / (4 m^2 (2m)!) at n = 2m, from the square of the arcsine
     series). kind "snowflake" gives the coefficients b_n of -arccos(t) / 2:
     b_0 = -pi/4, b_{2j+1} = a_{2j+1}/pi, and b_n = 0 for even n >= 2.
-    Computed through log-gamma so large n do not overflow.
+    Read from ``_log_coeff_full_arr``, so large n do not overflow.
     """
     if n < 0:
         raise ValueError(f"coefficient index must be >= 0, got {n}")
     if kind not in ("full", "snowflake"):
         raise ValueError(f"unknown kernel kind {kind!r}")
-    if n == 0:
-        if kind == "full":
-            return SignedLog(-1, 2.0 * LNPI - math.log(8.0))
-        return SignedLog(-1, LNPI - math.log(4.0))
-    if n % 2 == 1:
-        j = (n - 1) // 2
-        log_odd = (
-            LNPI
-            + gammaln(2 * j + 1)
-            - math.log(2 * j + 1)
-            - (2 * j + 1) * LN2
-            - 2.0 * gammaln(j + 1)
-        )
-        if kind == "full":
-            return SignedLog(1, float(log_odd))
-        return SignedLog(1, float(log_odd - LNPI))
+    odd = n % 2 == 1
+    if kind == "snowflake" and not odd:
+        return SignedLog(-1, LNPI - math.log(4.0)) if n == 0 else SignedLog(0, -math.inf)
+    log_a = float(_log_coeff_full_arr(np.array([float(n)]), odd)[0])
     if kind == "snowflake":
-        return SignedLog(0, -math.inf)
-    j = (n - 2) // 2
-    log_even = (
-        2 * j * LN2
-        + 2.0 * gammaln(j + 1)
-        - LN2
-        - math.log(j + 1)
-        - math.log(2 * j + 1)
-        - gammaln(2 * j + 1)
-    )
-    return SignedLog(-1, float(log_even))
+        return SignedLog(1, log_a - LNPI)
+    return SignedLog(1 if odd else -1, log_a)
 
 
 # ---------------------------------------------------------------------------
@@ -203,30 +210,6 @@ def _sum_unimodal(log_term: Callable[[np.ndarray], np.ndarray], tol: float,
 # Series evaluator for the full-kernel eigenvalues
 
 
-def _log_coeff_full_arr(n2: np.ndarray, j_parity_odd: bool) -> np.ndarray:
-    """log |a_{n2}| for an array of (real) indices n2 of fixed parity."""
-    if j_parity_odd:
-        m = (n2 - 1.0) / 2.0
-        return (
-            LNPI
-            + gammaln(2.0 * m + 1.0)
-            - np.log(2.0 * m + 1.0)
-            - (2.0 * m + 1.0) * LN2
-            - 2.0 * gammaln(m + 1.0)
-        )
-    m = np.maximum((n2 - 2.0) / 2.0, -0.25)
-    vals = (
-        2.0 * m * LN2
-        + 2.0 * gammaln(m + 1.0)
-        - LN2
-        - np.log(m + 1.0)
-        - np.log(2.0 * m + 1.0)
-        - gammaln(2.0 * m + 1.0)
-    )
-    # n2 == 0 is the constant coefficient -pi^2/8, outside the even formula
-    return np.where(n2 < 0.5, 2.0 * LNPI - math.log(8.0), vals)
-
-
 def _series_log_term(d: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
     odd = j % 2 == 1
 
@@ -245,8 +228,9 @@ def _series_log_term(d: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def eigenvalue_series(d: int, j: int, tol: float = 1e-9) -> float:
-    """Eigenvalue of the full kernel on degree-j spherical harmonics of S^d,
-    by direct summation of the coefficient series
+    """Eigenvalue of the full kernel on degree-j spherical harmonics of S^d in
+    the series normalization, c_d * lambda_j, by direct summation of the
+    coefficient series
 
         Gamma(d/2) / 2^{j+1} * sum_s a_{2s+j} (2s+j)!/(2s)!
                                  * Gamma(s+1/2) / Gamma(s+j+(d+1)/2).
@@ -267,7 +251,7 @@ def eigenvalue_series(d: int, j: int, tol: float = 1e-9) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature evaluator (ground truth for distance identities)
+# Quadrature evaluator and the closed form
 
 
 def _kernel_profile(kind: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -276,29 +260,6 @@ def _kernel_profile(kind: str) -> Callable[[np.ndarray], np.ndarray]:
     if kind == "snowflake":
         return lambda phi: -0.5 * phi
     raise ValueError(f"unknown kernel kind {kind!r}")
-
-
-def _gl_on(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-           rule: tuple[np.ndarray, np.ndarray]) -> float:
-    x, w = rule
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(w @ f(mid + half * x))
-
-
-def _adaptive_gl(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                 tol: float, depth: int = 0) -> float:
-    coarse = _gl_on(f, a, b, _gauss_legendre(16))
-    fine = _gl_on(f, a, b, _gauss_legendre(32))
-    if abs(fine - coarse) <= tol:
-        return fine
-    if depth >= 48:
-        raise QuadratureNotConverged(
-            f"adaptive quadrature stalled on [{a}, {b}] at tol={tol}"
-        )
-    mid = 0.5 * (a + b)
-    return _adaptive_gl(f, a, mid, tol / 2.0, depth + 1) + _adaptive_gl(
-        f, mid, b, tol / 2.0, depth + 1
-    )
 
 
 def _gegenbauer_normalized(j: int, nu: float, t: np.ndarray) -> np.ndarray:
@@ -334,28 +295,23 @@ def multiplicity(d: int, j: int) -> int:
 def eigenvalue_quadrature(d: int, j: int, kind: str = "full") -> float:
     """Eigenvalue of the zonal kernel on degree-j harmonics, by quadrature.
 
-    For d = 1 this is the Fourier coefficient (1/2pi) int k(theta) cos(j theta)
-    by adaptive Gauss-Legendre panels (absolute tolerance 1e-10). For d >= 2
-    it is the Funk-Hecke pairing of the kernel profile with the normalized
-    degree-j Gegenbauer polynomial under the normalized surface measure,
-    evaluated in the angle variable (where the integrand is analytic) with
-    node counts doubled until successive values agree to 1e-9.
+    The Funk-Hecke pairing of the kernel profile with the normalized degree-j
+    zonal function under the normalized surface measure (for d = 1 the Fourier
+    coefficient (1/pi) int_0^pi k(phi) cos(j phi) dphi), evaluated in the angle
+    variable, where the integrand is analytic, with node counts doubled until
+    successive values agree to 1e-9.
     """
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
     if j < 0:
         raise ValueError(f"degree must be >= 0, got {j}")
     f = _kernel_profile(kind)
-    if d == 1:
-        integrand = lambda phi: f(phi) * np.cos(j * phi)
-        return _adaptive_gl(integrand, 0.0, math.pi, QUAD_TOL_D1) / math.pi
     const = math.exp(gammaln((d + 1.0) / 2.0) - gammaln(d / 2.0)) / math.sqrt(math.pi)
-    nu = (d - 1.0) / 2.0
 
     def value_at(nodes: int) -> float:
         x, w = _gauss_legendre(nodes)
         phi = 0.5 * math.pi * (x + 1.0)
-        vals = f(phi) * _gegenbauer_normalized(j, nu, np.cos(phi)) * np.sin(phi) ** (d - 1)
+        vals = f(phi) * zonal_value(d, j, np.cos(phi)) * np.sin(phi) ** (d - 1)
         return const * 0.5 * math.pi * float(w @ vals)
 
     nodes = max(64, 2 * j)
@@ -371,52 +327,24 @@ def eigenvalue_quadrature(d: int, j: int, kind: str = "full") -> float:
     )
 
 
+def eigenvalue_closed(d: int, j: int) -> float:
+    """Eigenvalue of the full kernel on degree-j harmonics of S^d, j >= 1:
+
+        (-1)^(j+1) [Gamma((d+1)/2) Gamma(j/2) / (2 Gamma((j+d+1)/2))]^2,
+
+    through log-gamma so large j do not overflow (1/j^2 with alternating
+    sign on the circle, ~ j^{-d-1} in general).
+    """
+    if d < 1:
+        raise ValueError(f"sphere dimension must be >= 1, got {d}")
+    if j < 1:
+        raise ValueError(f"the closed form needs degree >= 1, got {j}")
+    log_root = gammaln((d + 1.0) / 2.0) + gammaln(j / 2.0) - LN2 - gammaln((j + d + 1.0) / 2.0)
+    return (1.0 if j % 2 == 1 else -1.0) * math.exp(2.0 * float(log_root))
+
+
 # ---------------------------------------------------------------------------
-# Spectrum tables and the snowflake distance identity
-
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    j: int
-    lam_series: float
-    lam_quadrature: float
-    lam_quadrature_snowflake: float
-    multiplicity: int
-
-
-@dataclass(frozen=True)
-class SphereSpectrum:
-    """Per-degree eigenvalue table with the series/quadrature calibration ratio."""
-
-    d: int
-    entries: tuple[SpectrumEntry, ...]
-
-    @property
-    def calibration_ratios(self) -> np.ndarray:
-        """lam_series / lam_quadrature over the odd (positive) degrees."""
-        return np.array(
-            [e.lam_series / e.lam_quadrature for e in self.entries if e.j % 2 == 1]
-        )
-
-    @property
-    def calibration(self) -> float:
-        r = self.calibration_ratios
-        return float(np.median(r)) if r.size else float("nan")
-
-
-def sphere_spectrum(d: int, max_degree: int, tol: float = 1e-9) -> SphereSpectrum:
-    entries = []
-    for j in range(max_degree + 1):
-        entries.append(
-            SpectrumEntry(
-                j=j,
-                lam_series=eigenvalue_series(d, j, tol),
-                lam_quadrature=eigenvalue_quadrature(d, j, "full"),
-                lam_quadrature_snowflake=eigenvalue_quadrature(d, j, "snowflake"),
-                multiplicity=multiplicity(d, j),
-            )
-        )
-    return SphereSpectrum(d=d, entries=tuple(entries))
+# The snowflake distance identity
 
 
 def truncated_embedding_dist_sq(d: int, trunc_degree: int, cos_angles: np.ndarray,
@@ -440,13 +368,13 @@ def snowflake_identity_error(d: int, trunc_degree: int, pairs: Sequence[tuple]) 
     """Max over point pairs of | ||M(x) - M(y)||^2_trunc - pi * dist(x, y) |.
 
     ``pairs`` holds (x, y) unit vectors in R^{d+1}. The truncated embedding
-    distance is built from quadrature eigenvalues of the full kernel over
-    odd degrees up to ``trunc_degree``; its deviation from pi times the
-    geodesic distance is bounded by the spectral tail past the truncation.
+    distance is built from the closed-form eigenvalues of the full kernel over
+    odd degrees up to ``trunc_degree``; as |1 - G_j| <= 2, its deviation from
+    pi times the geodesic distance is at most sum_{j odd > trunc} 4 lambda_j N(d, j).
     """
     if trunc_degree < 1:
         raise ValueError(f"truncation degree must be >= 1, got {trunc_degree}")
-    lam = {j: eigenvalue_quadrature(d, j, "full") for j in range(1, trunc_degree + 1, 2)}
+    lam = {j: eigenvalue_closed(d, j) for j in range(1, trunc_degree + 1, 2)}
     cosines = []
     angles = []
     for x, y in pairs:
@@ -478,7 +406,8 @@ def _log_theta_arr(d: int, n: int, s: np.ndarray) -> np.ndarray:
 
 def theta(d: int, n: int, s: float) -> SignedLog:
     """Summand theta_n(s) = (sqrt(pi)/8) Gamma(s+n+1/2)^2 / (Gamma(s+2n+(d+3)/2) s!)
-    of the odd-degree eigenvalue lambda_{2n+1}; always positive."""
+    of the odd-degree series, Gamma(d/2) sum_s theta_n(s) = c_d lambda_{2n+1};
+    always positive."""
     val = float(_log_theta_arr(d, n, np.array([float(s)]))[0])
     return SignedLog(1, val)
 
@@ -504,7 +433,8 @@ def s_peak(d: int, n: int) -> int:
 @dataclass(frozen=True, eq=False)
 class AsymptoticScan:
     """Scan of the odd-degree eigenvalues lambda_{2n+1} with the n^{d+1}
-    normalization; bounded above and below iff the decay rate is n^{-d-1}."""
+    normalization; bounded above and below iff the decay rate is n^{-d-1},
+    and ``normalized`` tends to Gamma((d+1)/2)^2 / 4."""
 
     d: int
     n_values: np.ndarray
@@ -517,22 +447,9 @@ class AsymptoticScan:
         return float(self.normalized.max() / self.normalized.min())
 
 
-def odd_eigenvalue_theta_sum(d: int, n: int) -> float:
-    """lambda_{2n+1} of the full kernel, Gamma(d/2) * sum_s theta_n(s), in closed form.
-
-    sum_s theta_n(s) = (sqrt(pi)/8) Gamma(a)^2/Gamma(c) 2F1(a, a; c; 1) with
-    a = n + 1/2, c = 2n + (d+3)/2. Since c - a - b = (d+1)/2 > 0, Gauss's theorem
-    2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)) gives
-    Gamma(d/2) (sqrt(pi)/8) Gamma(n+1/2)^2 Gamma((d+1)/2) / Gamma(n+1+d/2)^2.
-    """
-    log_lam = (gammaln(d / 2.0) + 0.5 * LNPI - math.log(8.0) + 2.0 * gammaln(n + 0.5)
-               + gammaln((d + 1.0) / 2.0) - 2.0 * gammaln(n + 1.0 + d / 2.0))
-    return math.exp(float(log_lam))
-
-
 def asymptotic_scan(d: int, n_values: Sequence[int]) -> AsymptoticScan:
     n_arr = np.array(sorted(n_values), dtype=int)
-    lam = np.array([odd_eigenvalue_theta_sum(d, int(n)) for n in n_arr])
+    lam = np.array([eigenvalue_closed(d, 2 * int(n) + 1) for n in n_arr])
     normalized = lam * n_arr.astype(float) ** (d + 1)
     peaks = np.array([s_peak(d, int(n)) if n >= 1 else 0 for n in n_arr])
     return AsymptoticScan(d=d, n_values=n_arr, lam=lam, normalized=normalized, s_peaks=peaks)

@@ -40,7 +40,8 @@ from .spaces import (
     sample,
 )
 from .spaces import finite_space_from_matrix  # noqa: F401  bench/tracer.py wraps this name
-from .sphere_spectral import eigenvalue_quadrature
+from .sphere_spectral import eigenvalue_closed
+from .sphere_spectral import eigenvalue_quadrature  # noqa: F401  bench/tracer.py wraps this name
 
 MARGINAL_TOL = 1e-12
 
@@ -405,13 +406,13 @@ def pullback_operator(fine: FiniteSpace, coarse: FiniteSpace,
 def circle_limit_map(thetas: np.ndarray, m: int) -> np.ndarray:
     """Limit embedding of the circle at the given angles, first m coordinates:
     pairs (sqrt(lam_k) sqrt(2) cos(k theta), sqrt(lam_k) sqrt(2) sin(k theta))
-    over odd degrees k, with lam_k taken from the quadrature evaluator."""
+    over odd degrees k, with lam_k = 1/k^2 from ``eigenvalue_closed``."""
     thetas = np.asarray(thetas, dtype=float)
     out = np.zeros((thetas.size, m))
     col = 0
     k = 1
     while col < m:
-        lam = eigenvalue_quadrature(1, k, "full")
+        lam = eigenvalue_closed(1, k)
         root = math.sqrt(lam) * math.sqrt(2.0)
         out[:, col] = root * np.cos(k * thetas)
         col += 1

@@ -1,6 +1,7 @@
 """CLI: exit codes, determinism, config round-trip, claim registry."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from mdslab.cli import (
 )
 from mdslab.mds_core import eigendecompose
 from mdslab.spaces import Sphere, Snowflake, Torus, read_space_csv, write_space_csv
+from mdslab.sphere_spectral import eigenvalue_quadrature
 
 
 def registered_subcommands() -> set[str]:
@@ -195,15 +197,25 @@ class TestRun:
         assert code == 3
         assert "ToleranceNotReached" in capsys.readouterr().err
 
-    def test_space_gen_krein_roundtrip(self, tmp_path, capsys):
+    def test_space_gen_krein_roundtrip(self, tmp_path, capsys, monkeypatch):
         space_csv = tmp_path / "circle.csv"
         assert run(["space", "gen", "--space", "circle", "--n", "12",
                     "--out", str(space_csv)]) == 0
         fs = read_space_csv(str(space_csv))
         assert fs.n == 12
+        negatives = eigendecompose(mdslab.cli.double_center(fs)).negative_count
+        assert negatives > 0
+
+        def unused(result):
+            raise AssertionError("the negative count needs no negative embedding")
+
+        monkeypatch.setattr(mdslab.cli, "embed_negative", unused)
+        capsys.readouterr()
         out = tmp_path / "krein.csv"
         assert run(["mds", "krein", "--input", str(space_csv), "--out", str(out)]) == 0
-        assert "max |reconstructed - d^2|" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "max |reconstructed - d^2|" in printed
+        assert printed.rstrip().endswith(f"negative part dimension {negatives}")
 
     def test_run_record_written(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -213,6 +225,44 @@ class TestRun:
         assert record["version"]
         assert record["result_path"] == str(out)
         assert len(record["config_hash"]) == 64
+        # no input file: the hash is the config's own
+        assert record["input_sha256"] == []
+        assert record["config_hash"] == ExperimentConfig.from_dict(record["config"]).config_hash
+        assert record["result_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("command", ["mds embed", "mds krein", "product check"])
+    def test_config_hash_covers_input_contents(self, tmp_path, command):
+        # same flags, input file regenerated between runs
+        space = tmp_path / "in.csv"
+        out = tmp_path / "e.csv"
+        argv = {
+            "mds embed": ["mds", "embed", "--input", str(space), "--m", "2"],
+            "mds krein": ["mds", "krein", "--input", str(space)],
+            "product check": ["product", "check", "--factors", f"{space},{space}"],
+        }[command] + ["--out", str(out)]
+        records, tables = [], []
+        for n in (8, 9, 8):
+            assert run(["space", "gen", "--space", "circle", "--n", str(n),
+                        "--out", str(space)]) == 0
+            assert run(argv) == 0
+            records.append(json.loads((tmp_path / "e.csv.run.json").read_text()))
+            tables.append(out.read_bytes())
+        assert tables[0] != tables[1] and tables[0] == tables[2]
+        assert records[0]["config_hash"] != records[1]["config_hash"]
+        assert records[0]["config_hash"] == records[2]["config_hash"]
+        for record, table in zip(records, tables):
+            assert record["result_sha256"] == hashlib.sha256(table).hexdigest()
+        inputs = 2 if command == "product check" else 1
+        assert records[2]["input_sha256"] == [hashlib.sha256(space.read_bytes()).hexdigest()] * inputs
+
+    def test_asymptotics_lambda_is_ground_truth(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run(["sphere", "asymptotics", "--dim", "3", "--nmin", "5", "--nmax", "8",
+                    "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        for n, lam, normalized in rows:
+            assert lam == pytest.approx(eigenvalue_quadrature(3, 2 * int(n) + 1), rel=1e-12)
+            assert normalized == pytest.approx(lam * n**4, rel=1e-15)
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         a = tmp_path / "a.csv"

@@ -5,8 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import equilateral_triangle, four_cycle, random_metric_space, two_points
+from conftest import (
+    equilateral_triangle,
+    four_cycle,
+    random_metric_space,
+    shortest_path_completion,
+    two_points,
+)
 from mdslab.mds_core import (
     DimensionMismatch,
     NonUniformWeights,
@@ -222,6 +231,36 @@ class TestReconstruction:
         rec = reconstruction_matrix(res)
         for i, j in ((0, 5), (3, 3), (11, 2)):
             assert rec[i, j] == pytest.approx(reconstruct_distance_sq(res, i, j), abs=1e-12)
+
+
+@st.composite
+def weighted_metrics(draw):
+    """Shortest-path closures of random symmetric tables, with weights spanning
+    three orders of magnitude."""
+    n = draw(st.integers(2, 10))
+    raw = draw(arrays(float, (n, n), elements=st.floats(0.05, 10.0)))
+    raw = (raw + raw.T) / 2.0
+    np.fill_diagonal(raw, 0.0)
+    w = draw(arrays(float, n, elements=st.floats(1e-3, 1.0)))
+    return finite_space_from_matrix(shortest_path_completion(raw), w / w.sum())
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(fs=weighted_metrics())
+    def test_signed_reconstruction_exact_with_nonuniform_weights(self, fs):
+        rec = reconstruction_matrix(eigendecompose(double_center(fs)))
+        assert np.all(np.abs(rec - fs.D**2) <= 1e-8 * np.maximum(1.0, fs.D**2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(fs=weighted_metrics(), data=st.data())
+    def test_spectrum_invariant_under_relabeling(self, fs, data):
+        perm = np.array(data.draw(st.permutations(range(fs.n))))
+        relabeled = finite_space_from_matrix(fs.D[np.ix_(perm, perm)], fs.w[perm])
+        lam = eigendecompose(double_center(fs)).eigenvalues
+        lam_perm = eigendecompose(double_center(relabeled)).eigenvalues
+        scale = max(1.0, float(np.max(np.abs(lam))))
+        assert np.max(np.abs(lam - lam_perm)) <= 1e-12 * scale
 
 
 class TestLipschitzAndHomogeneity:

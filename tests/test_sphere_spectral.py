@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,13 +22,12 @@ from mdslab.sphere_spectral import (
     alpha_ratio,
     asymptotic_scan,
     coeff,
+    eigenvalue_closed,
     eigenvalue_quadrature,
     eigenvalue_series,
     multiplicity,
-    odd_eigenvalue_theta_sum,
     s_peak,
     snowflake_identity_error,
-    sphere_spectrum,
     theta,
     truncated_embedding_dist_sq,
     zonal_value,
@@ -36,6 +36,12 @@ from mdslab.sphere_spectral import (
 
 def unit(t: float) -> np.ndarray:
     return np.array([math.cos(t), math.sin(t)])
+
+
+def c_d(d: int) -> float:
+    """Series-to-eigenvalue factor sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2))."""
+    return math.exp(0.5 * math.log(math.pi) + gammaln(d / 2.0) - math.log(2.0)
+                    - gammaln((d + 1.0) / 2.0))
 
 
 class TestCoefficients:
@@ -181,18 +187,72 @@ class TestCalibration:
         assert spread <= 1e-6
 
     def test_spectrum_table_invariants(self):
-        spec = sphere_spectrum(2, 8)
-        for e in spec.entries:
-            if e.j == 0:
-                assert e.multiplicity == 1
-                continue
-            if e.j % 2 == 1:
-                assert e.lam_series > 0 and e.lam_quadrature > 0
-                assert e.lam_quadrature_snowflake > 0
+        # the per-degree evaluators agree in sign, and their ratio is finite and positive
+        assert multiplicity(2, 0) == 1
+        ratios = []
+        for j in range(1, 9):
+            lam_series = eigenvalue_series(2, j)
+            lam_quadrature = eigenvalue_quadrature(2, j, "full")
+            if j % 2 == 1:
+                assert lam_series > 0 and lam_quadrature > 0
+                assert eigenvalue_quadrature(2, j, "snowflake") > 0
             else:
-                assert e.lam_series < 0 and e.lam_quadrature < 0
-        assert np.all(np.isfinite(spec.calibration_ratios))
-        assert spec.calibration > 0
+                assert lam_series < 0 and lam_quadrature < 0
+            ratios.append(lam_series / lam_quadrature)
+        assert np.all(np.isfinite(ratios))
+        assert min(ratios) > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_ratio_is_c_d(self, d):
+        assert c_d(d) == pytest.approx(
+            {1: math.pi / 2, 2: 1.0, 3: math.pi / 4, 4: 2.0 / 3.0, 5: 3.0 * math.pi / 16}[d],
+            rel=1e-15)
+        for j in range(16):
+            ratio = eigenvalue_series(d, j) / eigenvalue_quadrature(d, j, "full")
+            assert ratio == pytest.approx(c_d(d), rel=1e-10, abs=0.0)
+
+
+class TestClosedForm:
+    def test_pinned_values(self):
+        for k in range(1, 12):
+            assert eigenvalue_closed(1, k) == pytest.approx((-1.0) ** (k + 1) / k**2, rel=1e-14)
+        assert eigenvalue_closed(2, 1) == pytest.approx(math.pi**2 / 16, rel=1e-14)
+        assert eigenvalue_closed(3, 2) == pytest.approx(-1.0 / 16.0, rel=1e-14)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            eigenvalue_closed(2, 0)
+        with pytest.raises(ValueError):
+            eigenvalue_closed(0, 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(1, 8), j=st.integers(1, 200))
+    def test_matches_quadrature(self, d, j):
+        lam = eigenvalue_closed(d, j)
+        assert (lam > 0.0) == (j % 2 == 1) and math.isfinite(lam)
+        assert eigenvalue_quadrature(d, j, "full") == pytest.approx(lam, abs=1e-9)
+        snow = lam / math.pi if j % 2 == 1 else 0.0
+        assert eigenvalue_quadrature(d, j, "snowflake") == pytest.approx(snow, abs=1e-9)
+
+    @pytest.mark.parametrize("d, j", [(1, 1), (1, 6), (2, 3), (3, 4), (4, 9), (6, 2), (8, 11)])
+    def test_mpmath_funk_hecke_integral(self, d, j):
+        # 30-digit Funk-Hecke pairing of -phi^2/2 with the normalized zonal function
+        with mpmath.workdps(30):
+            nu = mpmath.mpf(d - 1) / 2
+            if d == 1:
+                zonal = lambda phi: mpmath.cos(j * phi)
+            else:
+                at_one = mpmath.gegenbauer(j, nu, 1)
+                zonal = lambda phi: mpmath.gegenbauer(j, nu, mpmath.cos(phi)) / at_one
+            const = mpmath.gamma(nu + 1) / (mpmath.gamma(mpmath.mpf(d) / 2) * mpmath.sqrt(mpmath.pi))
+            integral = const * mpmath.quad(
+                lambda phi: -phi**2 / 2 * zonal(phi) * mpmath.sin(phi) ** (d - 1),
+                mpmath.linspace(0, mpmath.pi, j + 2))
+            root = (mpmath.gamma(nu + 1) * mpmath.gamma(mpmath.mpf(j) / 2)
+                    / (2 * mpmath.gamma(mpmath.mpf(j + d + 1) / 2)))
+            exact = (-1) ** (j + 1) * root**2
+            assert abs(integral - exact) <= mpmath.mpf(10) ** -25 * abs(exact)
+        assert eigenvalue_closed(d, j) == pytest.approx(float(integral), rel=1e-13)
 
 
 class TestMultiplicity:
@@ -235,6 +295,27 @@ class TestSnowflakeIdentity:
         tail = math.pi**2 - 8.0 * sum(1.0 / k**2 for k in range(1, trunc + 1, 2))
         assert np.all(np.abs(got - math.pi * thetas) <= tail + 1e-12)
         assert np.abs(got[-1] - math.pi * thetas[-1]) == pytest.approx(tail, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_priori_truncation_bound(self, d):
+        # |1 - G_j| <= 2, so the error is at most sum_{j odd > 99} 4 lambda_j N(d, j):
+        # summed exactly up to K, then each later term is <= C / j^2 (exact for
+        # d = 1; from Wendel's Gamma(x)/Gamma(x+1/2) <= sqrt(x+1/2)/x for d = 2),
+        # and sum_{j odd > K} C / j^2 <= (1/2) int_K^inf C / x^2 dx = C / (2K).
+        trunc, top = 99, 20001
+        const = {1: 8.0, 2: 4.0 * math.pi}[d]
+        partial = sum(4.0 * eigenvalue_closed(d, j) * multiplicity(d, j)
+                      for j in range(trunc + 2, top + 1, 2))
+        bound = partial + const / (2.0 * top)
+        rng = np.random.default_rng(40 + d)
+        pts = rng.standard_normal((300, 2, d + 1))
+        pts /= np.linalg.norm(pts, axis=2, keepdims=True)
+        err = snowflake_identity_error(d, trunc, [(p[0], p[1]) for p in pts])
+        assert err <= bound
+        if d == 1:
+            # antipodal points have 1 - G_j = 2 at every odd j: the bound is attained
+            antipodal = snowflake_identity_error(1, trunc, [(unit(0.3), unit(0.3 + math.pi))])
+            assert partial - 1e-12 <= antipodal <= bound
 
     def test_d2_identity_coarse(self, rng):
         pts = rng.standard_normal((12, 2, 3))
@@ -289,9 +370,10 @@ class TestAppendixAsymptotics:
                 assert alpha_ratio(d, n, s + 1) <= 1.0 or s < peak
 
     def test_theta_sum_consistent_with_series(self):
-        assert odd_eigenvalue_theta_sum(1, 0) == pytest.approx(math.pi / 2, rel=1e-10)
-        for d, n in ((1, 3), (2, 2), (3, 4)):
-            a = odd_eigenvalue_theta_sum(d, n)
+        # sum_s theta(d, n, s) = c_d * lambda_{2n+1}, in closed form
+        assert c_d(1) * eigenvalue_closed(1, 1) == pytest.approx(math.pi / 2, rel=1e-10)
+        for d, n in ((1, 0), (1, 3), (2, 2), (3, 4)):
+            a = c_d(d) * eigenvalue_closed(d, 2 * n + 1)
             b = eigenvalue_series(d, 2 * n + 1)
             assert a == pytest.approx(b, rel=1e-10)
 
@@ -300,7 +382,7 @@ class TestAppendixAsymptotics:
     def test_closed_form_matches_peak_aware_sum(self, d, n):
         log_sum = _sum_unimodal(lambda s: _log_theta_arr(d, n, s), 1e-8)
         summed = math.exp(float(gammaln(d / 2.0)) + log_sum)
-        assert odd_eigenvalue_theta_sum(d, n) == pytest.approx(summed, rel=1e-8)
+        assert c_d(d) * eigenvalue_closed(d, 2 * n + 1) == pytest.approx(summed, rel=1e-8)
 
     def test_scan_ratio_bounds(self):
         scan1 = asymptotic_scan(1, range(5, 26))
@@ -308,6 +390,14 @@ class TestAppendixAsymptotics:
         scan2 = asymptotic_scan(2, range(5, 16))
         assert scan2.ratio_bound <= 5.0
         assert np.all(scan1.s_peaks[:-1] <= scan1.s_peaks[1:])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_scan_normalized_limit(self, d):
+        scan = asymptotic_scan(d, range(5, 161))
+        assert scan.ratio_bound <= 5.0
+        limit = math.gamma((d + 1) / 2.0) ** 2 / 4.0
+        assert scan.normalized[-1] == pytest.approx(limit, rel=0.03)
+        assert np.array_equal(scan.lam, [eigenvalue_closed(d, 2 * n + 1) for n in range(5, 161)])
 
 
 class TestCrossModuleCircleSpectrum:
