@@ -1,17 +1,15 @@
 """Command-line front end.
 
-Every subcommand normalizes its flags into a nine-key experiment config
-(command, space, sizes, m, p, tol, seed, refine, out), runs deterministically
-from that config, writes its result table as CSV (17 significant digits, LF
-line endings) and a JSON run record next to it, whose hash also covers the
-contents of the input files. Exit codes: 0 success, 2 for validation or usage
-errors (unwritable output included), 3 for numerical non-convergence.
-
-Key normalizations that are not one-to-one with flags: sample mode rides on
-the space string as an ``@random`` suffix, the eigenvalue method and kernel
-kind ride on the command as ``sphere eigen:<method>:<kind>``, torus checks
-store the per-factor grid size and pair count in ``sizes`` and the
-truncation degree in ``m``, and file inputs are space specs too.
+A run's config is its parsed flags: ``{"command": "<group> <sub>", <flag
+dest>: <value>, ...}``, with ``MDSLAB_SEED`` resolved into ``seed``. Every
+subcommand runs deterministically from its flags and writes its result table
+as CSV (17 significant digits, LF line endings) and a JSON run record next to
+it. The record's hash covers the config JSON and the sha256 of every input
+file, taken before the command runs. ``stability converge --config FILE``
+appends the keys of a JSON object as ``--key=value`` flags, so the file
+overrides the flags it names and passes through the same parser. Exit codes:
+0 success, 2 for validation or usage errors (unwritable output included), 3
+for numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -21,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -42,7 +40,6 @@ from .spaces import (
     AnalyticSpace,
     SampleSpec,
     Snowflake,
-    SpaceValidationError,
     Sphere,
     Torus,
     _fmt,
@@ -58,7 +55,7 @@ from .sphere_spectral import (
     eigenvalue_quadrature,
     eigenvalue_series,
 )
-from .stability import MarginalMismatch, UnsupportedSpace, convergence_experiment
+from .stability import convergence_experiment
 
 SEED_ENV_VAR = "MDSLAB_SEED"
 
@@ -78,53 +75,6 @@ CLAIMS = {
 
 class ConfigError(ValueError):
     pass
-
-
-_CONFIG_KEYS = ("command", "space", "sizes", "m", "p", "tol", "seed", "refine", "out")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Normalized run configuration; hash-stable and JSON round-trippable."""
-
-    command: str
-    space: Optional[str] = None
-    sizes: Optional[tuple[int, ...]] = None
-    m: Optional[int] = None
-    p: Optional[float] = None
-    tol: Optional[float] = None
-    seed: Optional[int] = None
-    refine: Optional[int] = None
-    out: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if d["sizes"] is not None:
-            d["sizes"] = list(d["sizes"])
-        return d
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "command" not in data:
-            raise ConfigError("config needs a 'command' key")
-        kwargs = dict(data)
-        if kwargs.get("sizes") is not None:
-            kwargs["sizes"] = tuple(int(v) for v in kwargs["sizes"])
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
-
-    @property
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -162,42 +112,36 @@ def _file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _input_paths(config: ExperimentConfig) -> list[str]:
-    """Files a command reads; their paths are its ``space``."""
-    if config.command == "product check":
-        return config.space.split(",")
-    return [config.space] if config.command in ("mds embed", "mds krein") else []
+def _input_paths(args) -> list[str]:
+    """Files a command reads: its ``--input``, or its comma-separated ``--factors``."""
+    if hasattr(args, "factors"):
+        return args.factors.split(",")
+    return [args.input] if hasattr(args, "input") else []
 
 
-def _write_run_record(config: ExperimentConfig, wall: float) -> None:
-    if config.out is None:
+def _write_run_record(config: dict, inputs: list[str], wall: float) -> None:
+    out = config["out"]
+    if out is None:
         return
-    inputs = [_file_sha256(path) for path in _input_paths(config)]
-    hashed = "\n".join([config.to_json(), *inputs])  # the bare config JSON when nothing is read
+    config_json = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    hashed = "\n".join([config_json, *inputs])  # the bare config JSON when nothing is read
     record = RunRecord(
         config_hash=hashlib.sha256(hashed.encode("utf-8")).hexdigest(),
         version=__version__,
         wall_time_s=wall,
-        result_path=config.out,
-        config=config.to_dict(),
+        result_path=out,
+        config=config,
         input_sha256=inputs,
-        result_sha256=_file_sha256(config.out),
+        result_sha256=_file_sha256(out),
     )
-    with open(config.out + ".run.json", "w", encoding="utf-8", newline="\n") as fh:
+    with open(out + ".run.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(asdict(record), fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def parse_space(spec: str) -> tuple[AnalyticSpace, str]:
-    """Parse a space string such as ``circle``, ``sphere:2``, ``torus:2``,
-    ``snowflake:circle:0.5``, optionally suffixed ``@random``. Returns the
-    space and the sampling mode."""
-    mode = "grid"
-    if "@" in spec:
-        spec, mode_token = spec.split("@", 1)
-        if mode_token not in ("grid", "random"):
-            raise ConfigError(f"unknown sampling mode {mode_token!r}")
-        mode = mode_token
+def parse_space(spec: str) -> AnalyticSpace:
+    """Parse a space string such as ``circle``, ``sphere:2``, ``torus:2`` or
+    ``snowflake:circle:0.5``."""
     tokens = spec.split(":")
 
     def build(toks: list[str]) -> AnalyticSpace:
@@ -219,44 +163,42 @@ def parse_space(spec: str) -> tuple[AnalyticSpace, str]:
         raise ConfigError(f"cannot parse space spec {spec!r}: {exc}") from exc
     if tokens:
         raise ConfigError(f"trailing tokens in space spec {spec!r}")
-    return space, ("uniform_random" if mode == "random" else "grid")
+    return space
 
 
-def _seed_from(args_seed: Optional[int]) -> int:
-    if args_seed is not None:
-        return args_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
+def _config_file_flags(path: str, command: str) -> list[str]:
+    """The keys of a JSON config file as ``--key=value`` flags (the ``=`` keeps
+    a value that starts with ``-`` attached). A ``command`` key, as run
+    records carry, must name the command being run."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path!r} does not hold a JSON object")
+    if data.pop("command", command) != command:
+        raise ConfigError(f"config file {path!r} is not for {command!r}")
+    return [f"--{key}={value}" for key, value in data.items()]
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations; each returns the normalized config.
+# Subcommand implementations; each reads its parsed flags.
 
 
-def _cmd_space_gen(args) -> ExperimentConfig:
-    seed = _seed_from(args.seed)
-    space_spec = args.space + ("@random" if args.mode == "random" else "")
-    config = ExperimentConfig(command="space gen", space=space_spec,
-                              sizes=(args.n,), seed=seed, out=args.out)
-    space, mode = parse_space(space_spec)
-    fs = sample(space, SampleSpec(mode=mode, n=args.n, seed=seed))
+def _cmd_space_gen(args) -> None:
+    mode = "uniform_random" if args.mode == "random" else "grid"
+    fs = sample(parse_space(args.space), SampleSpec(mode=mode, n=args.n, seed=args.seed))
     write_space_csv(fs, args.out)
     print(f"wrote {fs.n}-point space to {args.out}")
-    return config
 
 
-def _cmd_mds_embed(args) -> ExperimentConfig:
-    config = ExperimentConfig(command="mds embed", space=args.input, m=args.m, out=args.out)
+def _cmd_mds_embed(args) -> None:
     fs = read_space_csv(args.input)
     result = eigendecompose(double_center(fs))
     E = embed(result, args.m)
     emit_table([f"coord_{j + 1}" for j in range(args.m)], E.tolist(), args.out)
     print(f"embedded {fs.n} points into R^{args.m}; positive rank {result.positive_count}")
-    return config
 
 
-def _cmd_mds_krein(args) -> ExperimentConfig:
-    config = ExperimentConfig(command="mds krein", space=args.input, out=args.out)
+def _cmd_mds_krein(args) -> None:
     fs = read_space_csv(args.input)
     result = eigendecompose(double_center(fs))
     write_embedding_csv(result, args.out)
@@ -266,13 +208,9 @@ def _cmd_mds_krein(args) -> ExperimentConfig:
         f"signed spectrum: {result.positive_count} positive, {result.negative_count} negative; "
         f"max |reconstructed - d^2| = {_fmt(err)}; negative part dimension {result.negative_count}"
     )
-    return config
 
 
-def _cmd_sphere_eigen(args) -> ExperimentConfig:
-    command = f"sphere eigen:{args.method}:{args.kind}"
-    config = ExperimentConfig(command=command, space=f"sphere:{args.dim}",
-                              m=args.degree, tol=args.tol, out=args.out)
+def _cmd_sphere_eigen(args) -> None:
     if args.method == "series":
         if args.kind != "full":
             raise ConfigError("the series evaluator covers the full kernel only")
@@ -283,12 +221,9 @@ def _cmd_sphere_eigen(args) -> ExperimentConfig:
     if args.out:
         emit_table(["dim", "degree", "method", "kind", "lambda"],
                    [[args.dim, args.degree, args.method, args.kind, value]], args.out)
-    return config
 
 
-def _cmd_sphere_asymptotics(args) -> ExperimentConfig:
-    config = ExperimentConfig(command="sphere asymptotics", space=f"sphere:{args.dim}",
-                              sizes=(args.nmin, args.nmax), out=args.out)
+def _cmd_sphere_asymptotics(args) -> None:
     if not 1 <= args.nmin <= args.nmax:
         raise ConfigError(f"need 1 <= --nmin <= --nmax, got {args.nmin} and {args.nmax}")
     scan = asymptotic_scan(args.dim, range(args.nmin, args.nmax + 1))
@@ -299,37 +234,20 @@ def _cmd_sphere_asymptotics(args) -> ExperimentConfig:
         f"scanned n in [{args.nmin}, {args.nmax}] for d={args.dim}; "
         f"normalized max/min ratio {_fmt(scan.ratio_bound)}"
     )
-    return config
 
 
-def _cmd_stability_converge(args) -> ExperimentConfig:
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = ExperimentConfig.from_json(fh.read())
-        if config.command != "stability converge":
-            raise ConfigError(f"config is for {config.command!r}")
-        for key in ("p", "tol", "seed"):
-            if getattr(config, key) is not None:
-                raise ConfigError(f"stability converge does not use config key {key!r}")
-        if config.refine is None:
-            config = replace(config, refine=args.refine)
-    else:
-        config = ExperimentConfig(command="stability converge", space=args.space,
-                                  sizes=tuple(int(tok) for tok in args.sizes.split(",")),
-                                  m=args.m, refine=args.refine, out=args.out)
-    space, _ = parse_space(config.space)
-    rows = convergence_experiment(space, config.sizes, config.m, refine=config.refine)
+def _cmd_stability_converge(args) -> None:
+    sizes = tuple(int(tok) for tok in args.sizes.split(","))
+    rows = convergence_experiment(parse_space(args.space), sizes, args.m, refine=args.refine)
     emit_table(
         ["n", "aligned_L2", "gw2_images", "w4", "hs_gap_bound_lhs", "hs_gap_bound_rhs"],
         [[r.n, r.aligned_l2, r.gw2_images, r.w4, r.hs_lhs, r.hs_rhs] for r in rows],
-        config.out,
+        args.out,
     )
-    print(f"convergence table for {config.space} written to {config.out}")
-    return config
+    print(f"convergence table for {args.space} written to {args.out}")
 
 
-def _cmd_product_check(args) -> ExperimentConfig:
-    config = ExperimentConfig(command="product check", space=args.factors, out=args.out)
+def _cmd_product_check(args) -> None:
     paths = args.factors.split(",")
     if len(paths) != 2:
         raise ConfigError("product check needs exactly two factor files")
@@ -350,17 +268,12 @@ def _cmd_product_check(args) -> ExperimentConfig:
         f"spectrum merge max error {_fmt(spectrum_err)}; "
         f"additivity max error {_fmt(additivity_err)}"
     )
-    return config
 
 
-def _cmd_torus_check(args) -> ExperimentConfig:
-    seed = _seed_from(args.seed)
-    config = ExperimentConfig(command="torus check", space=f"torus:{args.k}",
-                              sizes=(args.n, args.pairs), m=args.trunc, seed=seed,
-                              out=args.out)
+def _cmd_torus_check(args) -> None:
     if args.k < 1 or args.pairs < 1:
         raise ConfigError(f"need --k >= 1 and --pairs >= 1, got {args.k} and {args.pairs}")
-    check = torus_check(args.n, args.k, args.trunc, n_pairs=args.pairs, seed=seed)
+    check = torus_check(args.n, args.k, args.trunc, n_pairs=args.pairs, seed=args.seed)
     if args.out:
         emit_table(
             ["n_per_factor", "k_factors", "trunc", "pairs", "max_error"],
@@ -368,7 +281,6 @@ def _cmd_torus_check(args) -> ExperimentConfig:
             args.out,
         )
     print(f"torus identity max error {_fmt(check.max_error)} over {args.pairs} pairs")
-    return config
 
 
 @lru_cache(maxsize=1)
@@ -449,21 +361,28 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str]) -> int:
     """Dispatch one CLI invocation; returns the process exit code."""
     parser = _build_parser()
+    argv = list(argv)
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 0
-        return 2 if code else 0
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        print("error: unknown or incomplete command", file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    try:
-        config = args.func(args)
-        _write_run_record(config, time.perf_counter() - start)
-    except (SpaceValidationError, MarginalMismatch, UnsupportedSpace, ConfigError,
-            ValueError, OSError) as exc:
+        args = parser.parse_args(argv)
+        if not getattr(args, "func", None):
+            parser.print_usage(sys.stderr)
+            print("error: unknown or incomplete command", file=sys.stderr)
+            return 2
+        command = f"{args.group} {args.sub}"
+        if getattr(args, "config", None):
+            args = parser.parse_args(argv + _config_file_flags(args.config, command))
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = int(os.environ.get(SEED_ENV_VAR) or 0)
+        flags = {k: v for k, v in vars(args).items() if k not in ("group", "sub", "func", "config")}
+        config = {"command": command, **flags}
+        # hashed before the run, which may overwrite an input with its output
+        inputs = [_file_sha256(path) for path in _input_paths(args)]
+        start = time.perf_counter()
+        args.func(args)
+        _write_run_record(config, inputs, time.perf_counter() - start)
+    except SystemExit as exc:  # argparse: usage errors, --help, --version
+        return 2 if isinstance(exc.code, int) and exc.code else 0
+    except (ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (ToleranceNotReached, QuadratureNotConverged, NoConvergence) as exc:

@@ -19,7 +19,6 @@ from conftest import equilateral_triangle
 from mdslab.cli import (
     CLAIMS,
     ConfigError,
-    ExperimentConfig,
     _build_parser,
     emit_table,
     parse_space,
@@ -30,28 +29,42 @@ from mdslab.spaces import Sphere, Snowflake, Torus, read_space_csv, write_space_
 from mdslab.sphere_spectral import eigenvalue_quadrature
 
 
-def registered_subcommands() -> set[str]:
-    cmds = set()
+def registered_subparsers() -> dict:
+    """Each ``"<group> <sub>"`` command mapped to its argument parser."""
+    cmds = {}
     parser = _build_parser()
     for action in parser._actions:
         if hasattr(action, "choices") and isinstance(action.choices, dict):
             for group, sub in action.choices.items():
                 for sub_action in sub._actions:
                     if hasattr(sub_action, "choices") and isinstance(sub_action.choices, dict):
-                        for name in sub_action.choices:
-                            cmds.add(f"{group} {name}")
+                        for name, subparser in sub_action.choices.items():
+                            cmds[f"{group} {name}"] = subparser
     return cmds
+
+
+def config_hash(config: dict, inputs: tuple[str, ...] = ()) -> str:
+    """A run record's hash: sha256 of the compact sorted config JSON, then each
+    input file's sha256, one per line."""
+    text = "\n".join([json.dumps(config, sort_keys=True, separators=(",", ":")), *inputs])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def read_record(out: Path) -> dict:
+    return json.loads(Path(f"{out}.run.json").read_text())
+
+
+def write_json(path: Path, data) -> str:
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 class TestParseSpace:
     def test_basic_forms(self):
-        assert parse_space("circle") == (Sphere(1), "grid")
-        assert parse_space("sphere:3") == (Sphere(3), "grid")
-        assert parse_space("torus:2") == (Torus(2), "grid")
-        space, mode = parse_space("snowflake:circle:0.5")
-        assert space == Snowflake(Sphere(1), 0.5)
-        assert mode == "grid"
-        assert parse_space("circle@random")[1] == "uniform_random"
+        assert parse_space("circle") == Sphere(1)
+        assert parse_space("sphere:3") == Sphere(3)
+        assert parse_space("torus:2") == Torus(2)
+        assert parse_space("snowflake:circle:0.5") == Snowflake(Sphere(1), 0.5)
 
     def test_rejects_garbage(self):
         with pytest.raises(ConfigError):
@@ -61,21 +74,92 @@ class TestParseSpace:
 
 
 class TestConfig:
-    def test_round_trip(self):
-        cfg = ExperimentConfig(command="stability converge", space="circle",
-                               sizes=(16, 32), m=2, out="t.csv")
-        back = ExperimentConfig.from_json(cfg.to_json())
-        assert back == cfg
-        assert back.config_hash == cfg.config_hash
+    """A run's config is its parsed flags, and a ``--config`` file passes
+    through the same parser."""
 
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            ExperimentConfig.from_dict({"command": "x", "banana": 1})
+    def test_round_trip(self, tmp_path):
+        out = tmp_path / "conv.csv"
+        assert run(["stability", "converge", "--space", "circle", "--sizes", "8,16",
+                    "--refine", "2", "--out", str(out)]) == 0
+        record, table = read_record(out), out.read_bytes()
+        cfg_path = write_json(tmp_path / "cfg.json", record["config"])
+        assert run(["stability", "converge", "--config", cfg_path]) == 0
+        assert read_record(out)["config"] == record["config"]
+        assert read_record(out)["config_hash"] == record["config_hash"]
+        assert out.read_bytes() == table
 
-    def test_hash_depends_on_content(self):
-        a = ExperimentConfig(command="space gen", space="circle", sizes=(8,))
-        b = ExperimentConfig(command="space gen", space="circle", sizes=(9,))
-        assert a.config_hash != b.config_hash
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        cfg_path = write_json(tmp_path / "cfg.json", {"sizes": "8,16", "banana": 1,
+                                                      "out": str(out)})
+        assert run(["stability", "converge", "--config", cfg_path]) == 2
+        assert "unrecognized arguments: --banana=1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hash_depends_on_content(self, tmp_path):
+        out = tmp_path / "c.csv"
+        hashes = []
+        for n in ("8", "9", "8"):
+            assert run(["space", "gen", "--space", "circle", "--n", n, "--out", str(out)]) == 0
+            record = read_record(out)
+            assert record["config"]["n"] == int(n)
+            assert record["config_hash"] == config_hash(record["config"])
+            hashes.append(record["config_hash"])
+        assert hashes[0] != hashes[1] and hashes[0] == hashes[2]
+
+    def test_record_config_is_every_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("MDSLAB_SEED", raising=False)
+        space = tmp_path / "in.csv"
+        assert run(["space", "gen", "--space", "circle", "--n", "6", "--out", str(space)]) == 0
+        argv = {
+            "space gen": ["--space", "circle", "--n", "8"],
+            "mds embed": ["--input", str(space), "--m", "2"],
+            "mds krein": ["--input", str(space)],
+            "sphere eigen": ["--dim", "1", "--degree", "1", "--method", "quadrature"],
+            "sphere asymptotics": ["--dim", "1", "--nmin", "2", "--nmax", "3"],
+            "stability converge": ["--sizes", "8,16"],
+            "product check": ["--factors", f"{space},{space}"],
+            "torus check": ["--n", "8", "--k", "1", "--trunc", "3", "--pairs", "5"],
+        }
+        subparsers = registered_subparsers()
+        assert set(argv) == set(subparsers)
+        for command, subparser in subparsers.items():
+            out = tmp_path / "out.csv"
+            assert run([*command.split(), *argv[command], "--out", str(out)]) == 0
+            config = read_record(out)["config"]
+            dests = {action.dest for action in subparser._actions} - {"help", "config"}
+            assert set(config) == {"command"} | dests
+            assert config["command"] == command
+            assert config["out"] == str(out)
+            if "seed" in dests:
+                assert config["seed"] == 0
+
+    @pytest.mark.parametrize("data,code", [
+        ({"command": "stability converge", "space": "circle", "sizes": "8,16", "m": 2}, 0),
+        ({"command": "stability converge", "space": "circle", "m": 2, "out": "file.csv"}, 0),
+        ({"command": "stability converge", "sizes": "8,16", "m": 2, "out": "file.csv"}, 0),
+        ({"command": "stability converge", "space": "circle", "sizes": "8,16", "m": "2",
+          "out": "file.csv"}, 0),
+        ({"command": "stability converge", "space": "circle", "sizes": [8, 16], "m": 2}, 2),
+        ({"command": "stability converge", "space": "circle", "sizes": [8, 16], "m": 2,
+          "p": None, "tol": None, "seed": None, "refine": 4, "out": "file.csv"}, 2),
+        ({"command": "space gen", "space": "circle"}, 2),
+        (["stability converge"], 2),
+    ], ids=["no_out", "no_sizes", "no_space", "m_string", "sizes_list", "old_nine_key_record",
+            "other_command", "not_an_object"])
+    def test_config_file_runs_or_exits_2(self, tmp_path, monkeypatch, capsys, data, code):
+        # the file overrides the flags it names; the rest keep their command-line values
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_json(tmp_path / "cfg.json", data)
+        assert run(["stability", "converge", "--sizes", "8,16", "--m", "1",
+                    "--out", "flags.csv", "--config", cfg_path]) == code
+        if code:
+            assert "error" in capsys.readouterr().err
+            assert not list(tmp_path.glob("*.csv"))
+            return
+        config = read_record(tmp_path / data.get("out", "flags.csv"))["config"]
+        assert config == {"command": "stability converge", "space": "circle", "sizes": "8,16",
+                          "m": 2, "refine": 4, "out": data.get("out", "flags.csv")}
 
 
 class TestEmitTable:
@@ -227,7 +311,7 @@ class TestRun:
         assert len(record["config_hash"]) == 64
         # no input file: the hash is the config's own
         assert record["input_sha256"] == []
-        assert record["config_hash"] == ExperimentConfig.from_dict(record["config"]).config_hash
+        assert record["config_hash"] == config_hash(record["config"])
         assert record["result_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("command", ["mds embed", "mds krein", "product check"])
@@ -310,26 +394,45 @@ class TestRun:
 
     def test_converge_with_config_file(self, tmp_path):
         out = tmp_path / "conv.csv"
-        cfg = ExperimentConfig(command="stability converge", space="circle",
-                               sizes=(8, 16), m=2, out=str(out))
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(cfg.to_json())
-        assert run(["stability", "converge", "--config", str(cfg_path)]) == 0
+        cfg_path = write_json(tmp_path / "cfg.json", {
+            "command": "stability converge", "space": "circle", "sizes": "8,16", "m": 2,
+            "out": str(out)})
+        assert run(["stability", "converge", "--config", cfg_path]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n,aligned_L2,gw2_images,w4,hs_gap_bound_lhs,hs_gap_bound_rhs"
         assert len(lines) == 3
 
     @pytest.mark.parametrize("key,value", [("p", 2.0), ("tol", 1e-6), ("seed", 5)])
     def test_converge_config_rejects_unused_keys(self, tmp_path, capsys, key, value):
+        # keys the sweep has no flag for are unknown flags
         out = tmp_path / "conv.csv"
-        cfg = ExperimentConfig(command="stability converge", space="circle",
-                               sizes=(8, 16), m=2, out=str(out), **{key: value})
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(cfg.to_json())
-        assert run(["stability", "converge", "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert "ConfigError" in err and repr(key) in err
+        cfg_path = write_json(tmp_path / "cfg.json", {
+            "command": "stability converge", "space": "circle", "sizes": "8,16", "m": 2,
+            "out": str(out), key: value})
+        assert run(["stability", "converge", "--config", cfg_path]) == 2
+        assert f"unrecognized arguments: --{key}={value}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["stability", "converge", "--space", "circle@random", "--sizes", "16,32"],
+        ["space", "gen", "--space", "circle@random", "--n", "8"],
+    ], ids=["stability_converge", "space_gen"])
+    def test_random_suffix_rejected(self, tmp_path, capsys, argv):
+        # random sampling is asked for with ``space gen --mode random`` only
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_input_hashed_before_run(self, tmp_path, capsys):
+        space = tmp_path / "s.csv"
+        assert run(["space", "gen", "--space", "circle", "--n", "8", "--out", str(space)]) == 0
+        read = hashlib.sha256(space.read_bytes()).hexdigest()
+        assert run(["mds", "embed", "--input", str(space), "--m", "2", "--out", str(space)]) == 0
+        record = read_record(space)
+        assert record["input_sha256"] == [read]
+        assert record["config_hash"] == config_hash(record["config"], (read,))
+        assert record["result_sha256"] == hashlib.sha256(space.read_bytes()).hexdigest() != read
 
     def test_cached_parser_keeps_no_state_between_runs(self, capsys):
         base = ["sphere", "eigen", "--dim", "1", "--degree", "1", "--method", "quadrature"]
@@ -381,6 +484,6 @@ class TestDeterminismAndClaims:
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
     def test_claim_registry_complete(self):
-        assert registered_subcommands() == set(CLAIMS)
+        assert set(registered_subparsers()) == set(CLAIMS)
         for claim in CLAIMS.values():
             assert len(claim) > 20

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import equilateral_triangle, four_cycle, random_metric_space
 from mdslab.mds_core import double_center, eigendecompose, spectral_embedding
@@ -118,6 +120,20 @@ class TestAdditivity:
         A = random_metric_space(rng, 6, uniform=False)
         B = random_metric_space(rng, 5, uniform=False)
         assert verify_product_embedding(*factor_and_product_spectra(A, B)) <= 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+           uniform=st.tuples(st.booleans(), st.booleans()))
+    def test_random_shortest_path_factors(self, seed, sizes, uniform):
+        rng = np.random.default_rng(seed)
+        A, B = (random_metric_space(rng, n, u) for n, u in zip(sizes, uniform))
+        pred, direct = factor_and_product_spectra(A, B)
+        scale = max(1.0, float(np.max(A.D)) ** 2 + float(np.max(B.D)) ** 2)
+        assert verify_product_embedding(pred, direct) <= 1e-12 * scale
+        nz = np.sort(direct.eigenvalues[direct.eigenvalues != 0.0])
+        assert nz.size == pred.eigenvalues.size
+        if nz.size:
+            assert np.max(np.abs(nz - np.sort(pred.eigenvalues))) <= 1e-12 * scale
 
     def test_tol_assertion(self, rng):
         A = random_metric_space(rng, 4)
