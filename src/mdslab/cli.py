@@ -283,10 +283,18 @@ def _cmd_torus_check(args) -> None:
     print(f"torus identity max error {_fmt(check.max_error)} over {args.pairs} pairs")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser without prefix matching, so a shortened flag or config key is
+    an error; subparsers are built from the same class."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """Built once per process: ``parse_args`` leaves it unchanged and returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mdslab",
         description="Finite and limiting multidimensional scaling on metric measure spaces.",
     )
@@ -319,7 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
     eig.add_argument("--degree", type=int, required=True)
     eig.add_argument("--method", choices=["series", "quadrature"], required=True)
     eig.add_argument("--kind", choices=["full", "snowflake"], default="full")
-    eig.add_argument("--tol", type=float, default=1e-9)
+    eig.add_argument("--tol", type=float, default=1e-9,
+                     help="series only: stop once two successive tail-corrected sums agree "
+                          "to this in log, about the value's relative error")
     eig.add_argument("--out", default=None)
     eig.set_defaults(func=_cmd_sphere_eigen)
     asy = sphere.add_parser("asymptotics", help="odd-degree eigenvalue decay scan")

@@ -413,6 +413,24 @@ class TestRun:
         assert f"unrecognized arguments: --{key}={value}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_shortened_config_key_rejected(self, tmp_path, capsys):
+        # "ref" is a prefix of "refine", not a spelling of it
+        out = tmp_path / "conv.csv"
+        cfg_path = write_json(tmp_path / "cfg.json", {
+            "ref": 2, "sizes": "8,16", "out": str(out)})
+        assert run(["stability", "converge", "--config", cfg_path]) == 2
+        assert "unrecognized arguments: --ref=2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["stability", "converge", "--ref", "2", "--sizes", "8,16"],
+        ["sphere", "eigen", "--dim", "2", "--deg", "3", "--meth", "series"],
+    ], ids=["stability_converge", "sphere_eigen"])
+    def test_shortened_flag_rejected(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        assert not (tmp_path / "converge.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ["stability", "converge", "--space", "circle@random", "--sizes", "16,32"],
         ["space", "gen", "--space", "circle@random", "--n", "8"],

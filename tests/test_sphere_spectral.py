@@ -18,6 +18,7 @@ from mdslab.sphere_spectral import (
     _gauss_legendre,
     _gegenbauer_normalized,
     _log_theta_arr,
+    _series_log_term,
     _sum_unimodal,
     alpha_ratio,
     asymptotic_scan,
@@ -107,6 +108,42 @@ class TestSeriesEvaluator:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(ToleranceNotReached):
             _sum_unimodal(lambda s: -np.log1p(s) * 1.001, tol=1e-9, budget=2000)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_zeta_oracle(self, p):
+        # sum_{s >= 0} (1 + s)^-p = zeta(p); the tail-corrected total settles long
+        # before the terms fall to tol times the sum
+        total = math.exp(_sum_unimodal(lambda s: -p * np.log1p(s), tol=1e-9))
+        assert total == pytest.approx(float(mpmath.zeta(p)), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.001, 1.05])
+    def test_slow_power_law_raises(self, p):
+        # the tail estimate is poor on a near-harmonic tail, so totals never settle
+        with pytest.raises(ToleranceNotReached):
+            _sum_unimodal(lambda s: -p * np.log1p(s), tol=1e-9, budget=10**6)
+
+    def test_term_count_guard(self, monkeypatch):
+        # the 8-small-terms rule evaluated 258,115 terms here
+        counted = []
+
+        def counting(d, j):
+            log_term = _series_log_term(d, j)
+
+            def wrapped(s):
+                counted.append(np.size(s))
+                return log_term(s)
+
+            return wrapped
+
+        monkeypatch.setattr("mdslab.sphere_spectral._series_log_term", counting)
+        eigenvalue_series(2, 41)
+        assert 0 < sum(counted) < 30_000
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 5), j=st.integers(1, 99))
+    def test_matches_closed_form_at_default_tol(self, d, j):
+        assert eigenvalue_series(d, j) == pytest.approx(c_d(d) * eigenvalue_closed(d, j),
+                                                        rel=1e-9, abs=0.0)
 
 
 class TestQuadrature:
@@ -253,6 +290,32 @@ class TestClosedForm:
             exact = (-1) ** (j + 1) * root**2
             assert abs(integral - exact) <= mpmath.mpf(10) ** -25 * abs(exact)
         assert eigenvalue_closed(d, j) == pytest.approx(float(integral), rel=1e-13)
+
+
+    def test_mpmath_gamma_ratio_grid(self):
+        # 40-digit reference; the log-gamma difference lost up to 4e-11 at large j
+        degrees = [*range(1, 322), 999, 2001, 20001]
+        with mpmath.workdps(40):
+            for d in range(1, 9):
+                half = mpmath.mpf(d + 1) / 2
+                for j in degrees:
+                    x = mpmath.mpf(j) / 2
+                    root = mpmath.gamma(half) * mpmath.gamma(x) / (2 * mpmath.gamma(x + half))
+                    exact = float((-1) ** (j + 1) * root**2)
+                    assert eigenvalue_closed(d, j) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_circle_first_degree_exact(self):
+        assert eigenvalue_closed(1, 1) == 1.0
+
+    def test_dimension_bound(self):
+        # up to d = 189 the Pochhammer symbol overflows only where lambda_j underflows
+        with mpmath.workdps(40):
+            half = mpmath.mpf(190) / 2
+            exact = float((mpmath.gamma(half) * mpmath.gamma(0.5) / (2 * mpmath.gamma(half + 0.5)))**2)
+        assert eigenvalue_closed(189, 1) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert eigenvalue_closed(189, 3421) == 0.0  # 8.9e-326 underflows
+        with pytest.raises(ValueError):
+            eigenvalue_closed(190, 1)
 
 
 class TestMultiplicity:
