@@ -14,19 +14,26 @@ satisfies ||M(x) - M(y)||^2 = pi * dist(x, y), and the only eigenvalue source
 of that identity, the n^{-d-1} decay scan and the circle limit map. Two
 independent evaluators stay as its oracles:
 
-* a power-series route through the Taylor coefficients of arccos^2, summed
-  term by term in log space. The summand is unimodal with a peak at
-  s = Theta(n^2) and a power-law tail, so the sum is not cut where terms get
-  small: past the peak, the partial sum plus an Euler-Maclaurin tail is
-  formed after each doubling block, and summation stops once two successive
-  totals agree to ``tol`` in log. It carries the factor
+* a power series: pairing the Taylor series of arccos^2 with the degree-j
+  harmonic and simplifying by the duplication formula gives
+
+      series = (-1)^(j+1) Gamma(d/2) sum_{s >= 0} theta_j(s),
+      theta_j(s) = (sqrt(pi)/8) Gamma(s+j/2)^2 / (s! Gamma(s+j+(d+1)/2)),
+
+  where at j = 0 the s = 0 term is the constant coefficient's,
+  pi^(5/2) / (16 Gamma((d+1)/2)). The positive terms are summed in log
+  space. The summand is unimodal with a peak at s = Theta(j^2) and a
+  power-law tail, so the sum is not cut where terms get small: past the
+  peak, the partial sum plus an Euler-Maclaurin tail is formed after each
+  doubling block, and summation stops once two successive totals agree to
+  ``tol`` in log. It carries the factor
   c_d = sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2)) (pi/2, 1, pi/4 for
   d = 1, 2, 3): series = c_d * lambda_j;
 * a quadrature route: the Funk-Hecke pairing of the kernel profile with the
   normalized zonal function (cos(j phi) for d = 1).
 
-At odd degree j = 2n + 1 the series is Gamma(d/2) sum_s theta_n(s); theta_n,
-its term ratio and peak stay exposed for the decay analysis.
+At odd degree j = 2n + 1, ``theta(d, n, s)`` is theta_j(s); it, its term
+ratio and its peak stay exposed for the decay analysis.
 """
 from __future__ import annotations
 
@@ -71,30 +78,6 @@ class SignedLog:
         return self.sign * math.exp(self.log_abs)
 
 
-def _log_coeff_full_arr(n2: np.ndarray, j_parity_odd: bool) -> np.ndarray:
-    """log |a_{n2}| for an array of (real) indices n2 of fixed parity."""
-    if j_parity_odd:
-        m = (n2 - 1.0) / 2.0
-        return (
-            LNPI
-            + gammaln(2.0 * m + 1.0)
-            - np.log(2.0 * m + 1.0)
-            - (2.0 * m + 1.0) * LN2
-            - 2.0 * gammaln(m + 1.0)
-        )
-    m = np.maximum((n2 - 2.0) / 2.0, -0.25)
-    vals = (
-        2.0 * m * LN2
-        + 2.0 * gammaln(m + 1.0)
-        - LN2
-        - np.log(m + 1.0)
-        - np.log(2.0 * m + 1.0)
-        - gammaln(2.0 * m + 1.0)
-    )
-    # n2 == 0 is the constant coefficient -pi^2/8, outside the even formula
-    return np.where(n2 < 0.5, 2.0 * LNPI - math.log(8.0), vals)
-
-
 def coeff(kind: str, n: int) -> SignedLog:
     """Taylor coefficient of the zonal kernel in powers of the cosine.
 
@@ -104,19 +87,25 @@ def coeff(kind: str, n: int) -> SignedLog:
     -4^m (m!)^2 / (4 m^2 (2m)!) at n = 2m, from the square of the arcsine
     series). kind "snowflake" gives the coefficients b_n of -arccos(t) / 2:
     b_0 = -pi/4, b_{2j+1} = a_{2j+1}/pi, and b_n = 0 for even n >= 2.
-    Read from ``_log_coeff_full_arr``, so large n do not overflow.
+    Formed in log space, so large n do not overflow.
     """
     if n < 0:
         raise ValueError(f"coefficient index must be >= 0, got {n}")
     if kind not in ("full", "snowflake"):
         raise ValueError(f"unknown kernel kind {kind!r}")
-    odd = n % 2 == 1
-    if kind == "snowflake" and not odd:
-        return SignedLog(-1, LNPI - math.log(4.0)) if n == 0 else SignedLog(0, -math.inf)
-    log_a = float(_log_coeff_full_arr(np.array([float(n)]), odd)[0])
+    if n == 0:
+        return SignedLog(-1, 2.0 * LNPI - math.log(8.0) if kind == "full"
+                         else LNPI - math.log(4.0))
+    if n % 2 == 1:
+        j = (n - 1) // 2
+        log_b = (math.lgamma(2 * j + 1) - math.log(2 * j + 1) - (2 * j + 1) * LN2
+                 - 2.0 * math.lgamma(j + 1))
+        return SignedLog(1, LNPI + log_b if kind == "full" else log_b)
     if kind == "snowflake":
-        return SignedLog(1, log_a - LNPI)
-    return SignedLog(1 if odd else -1, log_a)
+        return SignedLog(0, -math.inf)
+    j = (n - 2) // 2
+    return SignedLog(-1, 2 * j * LN2 + 2.0 * math.lgamma(j + 1) - LN2 - math.log(j + 1)
+                     - math.log(2 * j + 1) - math.lgamma(2 * j + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -189,46 +178,55 @@ def _sum_unimodal(log_term: Callable[[np.ndarray], np.ndarray], tol: float,
 
 
 def _series_log_term(d: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
-    odd = j % 2 == 1
+    """log theta_j(s), the summand of the degree-j series on S^d:
 
+        theta_j(s) = (sqrt(pi)/8) Gamma(s+j/2)^2 / (s! Gamma(s+j+(d+1)/2)),
+
+    except at j = 0, s = 0, where Gamma(0) is infinite and the term is the
+    constant coefficient's, pi^(5/2) / (16 Gamma((d+1)/2)). Real s are
+    accepted, for the tail integral.
+    """
     def log_term(s: np.ndarray) -> np.ndarray:
-        n2 = 2.0 * s + j
-        la = _log_coeff_full_arr(n2, odd)
         return (
-            la
-            + gammaln(n2 + 1.0)
-            - gammaln(2.0 * s + 1.0)
-            + gammaln(s + 0.5)
+            0.5 * LNPI
+            - math.log(8.0)
+            + 2.0 * gammaln(s + j / 2.0)
             - gammaln(s + j + (d + 1.0) / 2.0)
+            - gammaln(s + 1.0)
         )
 
-    return log_term
+    if j > 0:
+        return log_term
+    log_first = 2.5 * LNPI - math.log(16.0) - math.lgamma((d + 1.0) / 2.0)
+    return lambda s: np.where(s == 0.0, log_first, log_term(s))
 
 
 def eigenvalue_series(d: int, j: int, tol: float = 1e-9) -> float:
     """Eigenvalue of the full kernel on degree-j spherical harmonics of S^d in
-    the series normalization, c_d * lambda_j, by direct summation of the
-    coefficient series
+    the series normalization, c_d * lambda_j, by direct summation of
 
-        Gamma(d/2) / 2^{j+1} * sum_s a_{2s+j} (2s+j)!/(2s)!
-                                 * Gamma(s+1/2) / Gamma(s+j+(d+1)/2).
+        (-1)^(j+1) Gamma(d/2) sum_{s >= 0} theta_j(s),
+        theta_j(s) = (sqrt(pi)/8) Gamma(s+j/2)^2 / (s! Gamma(s+j+(d+1)/2)),
 
-    All terms of one series share a sign (2s + j has fixed parity), so the
-    magnitude is summed in log space; the sign is positive exactly for odd j.
-    ``tol`` bounds the change in the log of the tail-corrected sum between
-    two successive blocks (see ``_sum_unimodal``), so at the default the
-    value is accurate to about 1e-9 relative; it reads no closed form.
+    with the j = 0, s = 0 term pi^(5/2) / (16 Gamma((d+1)/2)) (see
+    ``_series_log_term``). theta_j(s) is the term of the arccos^2 Taylor
+    coefficient a_{2s+j} paired with the degree-j harmonic,
+    a_{2s+j} (2s+j)!/(2s)! Gamma(s+1/2) / (2^{j+1} Gamma(s+j+(d+1)/2)),
+    simplified by the duplication formula. The terms are positive, so they
+    are summed in log space. ``tol`` bounds the change in the log of the
+    tail-corrected sum between two successive blocks (see ``_sum_unimodal``)
+    and must be positive and finite; at the default the value is accurate to
+    about 1e-9 relative. It reads no closed form.
     """
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
     if j < 0:
         raise ValueError(f"degree must be >= 0, got {j}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     sign = 1.0 if j % 2 == 1 else -1.0
-    lognorm = float(gammaln(d / 2.0)) - (j + 1) * LN2
     log_sum = _sum_unimodal(_series_log_term(d, j), tol)
-    return sign * math.exp(lognorm + log_sum)
+    return sign * math.exp(float(gammaln(d / 2.0)) + log_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +321,7 @@ def eigenvalue_closed(d: int, j: int) -> float:
         raise ValueError(f"the closed form covers sphere dimensions 1..189, got {d}")
     if j < 1:
         raise ValueError(f"the closed form needs degree >= 1, got {j}")
-    root = float(gamma((d + 1.0) / 2.0) / (2.0 * poch(j / 2.0, (d + 1.0) / 2.0)))
+    root = float(gamma((d + 1.0) / 2.0) / poch(j / 2.0, (d + 1.0) / 2.0) / 2.0)
     return (1.0 if j % 2 == 1 else -1.0) * root * root
 
 
@@ -378,31 +376,20 @@ def snowflake_identity_error(d: int, trunc_degree: int, pairs: Sequence[tuple]) 
 # Asymptotics of the positive (odd-degree) eigenvalues
 
 
-def _log_theta_arr(d: int, n: int, s: np.ndarray) -> np.ndarray:
-    return (
-        0.5 * LNPI
-        - math.log(8.0)
-        + 2.0 * gammaln(s + n + 0.5)
-        - gammaln(s + 2.0 * n + (d + 3.0) / 2.0)
-        - gammaln(s + 1.0)
-    )
-
-
 def theta(d: int, n: int, s: float) -> SignedLog:
-    """Summand theta_n(s) = (sqrt(pi)/8) Gamma(s+n+1/2)^2 / (Gamma(s+2n+(d+3)/2) s!)
-    of the odd-degree series, Gamma(d/2) sum_s theta_n(s) = c_d lambda_{2n+1};
-    always positive."""
-    val = float(_log_theta_arr(d, n, np.array([float(s)]))[0])
-    return SignedLog(1, val)
+    """The series summand theta_j(s) (``_series_log_term``) at odd degree j = 2n + 1,
+    (sqrt(pi)/8) Gamma(s+n+1/2)^2 / (s! Gamma(s+2n+(d+3)/2)), with
+    Gamma(d/2) sum_s theta_j(s) = c_d lambda_j; always positive."""
+    return SignedLog(1, float(_series_log_term(d, 2 * n + 1)(np.array([float(s)]))[0]))
 
 
 def alpha_ratio(d: int, n: int, s: float) -> float:
-    """Term ratio theta_n(s+1) / theta_n(s) = (s+n+1/2)^2 / ((s+1)(s+2n+(d+3)/2))."""
+    """Term ratio theta_{2n+1}(s+1) / theta_{2n+1}(s) = (s+n+1/2)^2 / ((s+1)(s+2n+(d+3)/2))."""
     return (s + n + 0.5) ** 2 / ((s + 1.0) * (s + 2.0 * n + (d + 3.0) / 2.0))
 
 
 def s_peak(d: int, n: int) -> int:
-    """Peak location of theta_n: ceil((2n-1)^2 / (2(d+3)) - 1), clamped at 0.
+    """Peak location of theta_{2n+1}: ceil((2n-1)^2 / (2(d+3)) - 1), clamped at 0.
 
     The ratio alpha crosses 1 exactly at s* = (2n-1)^2/(2(d+3)) - 1, so the
     summand increases up to the ceiling and decreases after.
@@ -432,8 +419,18 @@ class AsymptoticScan:
 
 
 def asymptotic_scan(d: int, n_values: Sequence[int]) -> AsymptoticScan:
+    """Scan lambda_{2n+1} for n >= 1, with ``normalized`` formed in log space so
+    that n^{d+1} cannot overflow; an n whose lambda_{2n+1} is below the
+    smallest normal float raises ``ValueError``."""
     n_arr = np.array(sorted(n_values), dtype=int)
+    if n_arr.size and n_arr[0] < 1:
+        raise ValueError(f"the scan needs n >= 1, got {n_arr[0]}")
     lam = np.array([eigenvalue_closed(d, 2 * int(n) + 1) for n in n_arr])
-    normalized = lam * n_arr.astype(float) ** (d + 1)
-    peaks = np.array([s_peak(d, int(n)) if n >= 1 else 0 for n in n_arr])
+    tiny = np.finfo(float).tiny
+    if np.any(lam < tiny):
+        n_bad = int(n_arr[np.argmax(lam < tiny)])
+        raise ValueError(f"lambda_{2 * n_bad + 1} of S^{d} (n = {n_bad}) is below the "
+                         f"smallest normal float {tiny}")
+    normalized = np.exp(np.log(lam) + (d + 1) * np.log(n_arr))
+    peaks = np.array([s_peak(d, int(n)) for n in n_arr])
     return AsymptoticScan(d=d, n_values=n_arr, lam=lam, normalized=normalized, s_peaks=peaks)

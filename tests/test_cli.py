@@ -281,6 +281,14 @@ class TestRun:
         assert code == 3
         assert "ToleranceNotReached" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_series_tolerance_exit_2(self, capsys, tol):
+        # nan never compares as settled and inf settles at once: both are bad input
+        assert run(["sphere", "eigen", "--dim", "2", "--degree", "3",
+                    "--method", "series", "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert f"ValueError: tolerance must be positive and finite, got {tol}" in err
+
     def test_space_gen_krein_roundtrip(self, tmp_path, capsys, monkeypatch):
         space_csv = tmp_path / "circle.csv"
         assert run(["space", "gen", "--space", "circle", "--n", "12",
@@ -347,6 +355,24 @@ class TestRun:
         for n, lam, normalized in rows:
             assert lam == pytest.approx(eigenvalue_quadrature(3, 2 * int(n) + 1), rel=1e-12)
             assert normalized == pytest.approx(lam * n**4, rel=1e-15)
+
+    def test_asymptotics_normalized_finite_at_high_dim(self, tmp_path, capsys):
+        # n^(d+1) alone overflows here (160^151 > 1e308)
+        out = tmp_path / "scan.csv"
+        assert run(["sphere", "asymptotics", "--dim", "150", "--nmin", "5", "--nmax", "160",
+                    "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(rows)) and np.all(rows[:, 1:] > 0.0)
+        ratio = float(capsys.readouterr().out.rsplit(" ", 1)[1])
+        assert math.isfinite(ratio)
+        assert ratio == pytest.approx(rows[:, 2].max() / rows[:, 2].min(), rel=1e-15)
+
+    def test_asymptotics_underflowed_lambda_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert run(["sphere", "asymptotics", "--dim", "189", "--nmin", "1679", "--nmax", "1680",
+                    "--out", str(out)]) == 2
+        assert "ValueError: lambda_3359 of S^189 (n = 1679)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         a = tmp_path / "a.csv"

@@ -17,7 +17,6 @@ from mdslab.sphere_spectral import (
     ToleranceNotReached,
     _gauss_legendre,
     _gegenbauer_normalized,
-    _log_theta_arr,
     _series_log_term,
     _sum_unimodal,
     alpha_ratio,
@@ -138,6 +137,22 @@ class TestSeriesEvaluator:
         monkeypatch.setattr("mdslab.sphere_spectral._series_log_term", counting)
         eigenvalue_series(2, 41)
         assert 0 < sum(counted) < 30_000
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_summand_matches_coefficient_route(self, d):
+        # theta_j(s) is a_{2s+j} (2s+j)!/(2s)! Gamma(s+1/2) / (2^{j+1} Gamma(s+j+(d+1)/2)),
+        # the Taylor coefficient paired with the degree-j harmonic. Both routes cancel
+        # log-gammas up to gammaln(2s+j+1) (8e4 at s = 5000), so they can differ by
+        # a few ulps of that.
+        eps = np.finfo(float).eps
+        for j in range(42):
+            log_term = _series_log_term(d, j)
+            for s in (0, 1, 2, 10, 100, 1000, 5000):
+                route = (coeff("full", 2 * s + j).log_abs + gammaln(2 * s + j + 1)
+                         - gammaln(2 * s + 1) + gammaln(s + 0.5)
+                         - gammaln(s + j + (d + 1) / 2) - (j + 1) * math.log(2.0))
+                got = float(log_term(np.array([float(s)]))[0])
+                assert abs(got - route) <= 8 * eps * max(1.0, gammaln(2 * s + j + 1)), (j, s)
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 5), j=st.integers(1, 99))
@@ -443,9 +458,13 @@ class TestAppendixAsymptotics:
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 6), n=st.integers(0, 60))
     def test_closed_form_matches_peak_aware_sum(self, d, n):
-        log_sum = _sum_unimodal(lambda s: _log_theta_arr(d, n, s), 1e-8)
+        log_sum = _sum_unimodal(_series_log_term(d, 2 * n + 1), 1e-8)
         summed = math.exp(float(gammaln(d / 2.0)) + log_sum)
         assert c_d(d) * eigenvalue_closed(d, 2 * n + 1) == pytest.approx(summed, rel=1e-8)
+
+    def test_scan_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            asymptotic_scan(1, [0, 1, 2])
 
     def test_scan_ratio_bounds(self):
         scan1 = asymptotic_scan(1, range(5, 26))
