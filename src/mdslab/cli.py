@@ -67,7 +67,7 @@ CLAIMS = {
     "mds krein": "signed spectral decomposition reconstructs squared distances exactly through the indefinite pair map",
     "sphere eigen": "sphere kernel eigenvalues: quadrature matches the closed form lambda_j, the series gives c_d * lambda_j with c_d = sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2)); odd degrees are positive",
     "sphere asymptotics": "the ground-truth positive eigenvalues lambda_{2n+1} decay like n^(-d-1): n^(d+1) lambda_{2n+1} tends to Gamma((d+1)/2)^2 / 4, with the series summand peaking at s = Theta(n^2)",
-    "stability converge": "circle grid embeddings converge to the limit map after orthogonal alignment, with coupling-wise kernel-gap bounds",
+    "stability converge": "circle and flat-torus grid embeddings converge to the analytic limit map after orthogonal alignment; circle rows add coupling-wise kernel-gap bounds",
     "product check": "product spectra merge from factor spectra and squared embedding distances add across factors",
     "torus check": "flat torus embedding satisfies the snowflake identity pi * sum of factor distances",
 }
@@ -343,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conv = stab.add_parser("converge", help="grid-size sweep against the limit map")
     conv.add_argument("--space", default="circle")
     conv.add_argument("--sizes", default="16,32,64,128,256,512")
-    conv.add_argument("--m", type=int, default=2)
+    conv.add_argument("--m", type=int, default=2, help="rounded up to whole degenerate blocks")
     conv.add_argument("--refine", type=int, default=4)
     conv.add_argument("--out", default="converge.csv")
     conv.add_argument("--config", default=None, help="JSON config file overriding the flags")

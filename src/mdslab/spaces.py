@@ -219,7 +219,9 @@ AnalyticSpace = Union[Sphere, Snowflake, ProductSpace, Torus]
 
 
 def _circle_arc(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray | float:
-    delta = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % TWO_PI
+    """Geodesic distance between circle angles ``a`` and ``b``, both in
+    [0, 2 pi]: there |a - b| <= 2 pi, so no reduction modulo 2 pi is needed."""
+    delta = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
     return np.minimum(delta, TWO_PI - delta)
 
 
@@ -229,6 +231,8 @@ def _sphere_point(space: Sphere, x: Sequence[float]) -> np.ndarray:
         raise PointOffManifold(
             f"sphere({space.d}) points live in R^{space.d + 1}, got shape {v.shape}"
         )
+    if not np.isfinite(v).all():
+        raise PointOffManifold(f"point {v!r} has a non-finite coordinate")
     if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
         raise PointOffManifold(f"point has norm {np.linalg.norm(v)!r}, expected 1")
     return v
@@ -239,7 +243,8 @@ def distance(space: AnalyticSpace, x, y) -> float:
 
     Point formats: sphere(d) takes unit vectors in R^{d+1}; snowflake takes
     base-space points; product takes (left, right) pairs; torus(k) takes
-    length-k angle vectors.
+    length-k vectors of any finite angles. A non-finite coordinate raises
+    :class:`PointOffManifold`.
     """
     if isinstance(space, Sphere):
         xv = _sphere_point(space, x)
@@ -258,7 +263,9 @@ def distance(space: AnalyticSpace, x, y) -> float:
         ya = np.asarray(y, dtype=float)
         if xa.shape != (space.k,) or ya.shape != (space.k,):
             raise PointOffManifold(f"torus({space.k}) points are length-{space.k} angle vectors")
-        arcs = _circle_arc(xa, ya)
+        if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+            raise PointOffManifold(f"torus points {xa!r}, {ya!r} have a non-finite angle")
+        arcs = _circle_arc(xa % TWO_PI, ya % TWO_PI)
         return float(np.sqrt(np.sum(arcs**2)))
     raise TypeError(f"unknown analytic space {space!r}")
 

@@ -3,8 +3,10 @@
 Couplings between finite spaces, coupling-based distortion costs (upper
 bounds on the order-p Gromov-Kantorovich distance), the Hilbert-Schmidt
 kernel gap and its two distortion bounds, orthogonal Procrustes alignment,
-eigenvalue perturbation checks, and the circle convergence experiment that
-drives all of it end to end.
+eigenvalue perturbation checks, and the grid convergence experiment that
+drives all of it end to end: circle and flat-torus grid embeddings both
+align to the analytic limit map, and the kernel-gap bound covers circle
+rows only.
 
 Distortion costs are never exact optima: the quadratic assignment underneath
 is intractable, and every bound used here is coupling-wise, so explicit
@@ -400,7 +402,7 @@ def pullback_operator(fine: FiniteSpace, coarse: FiniteSpace,
 
 
 # ---------------------------------------------------------------------------
-# Convergence experiment on circle (and torus) grids
+# Convergence experiment on circle and torus grids
 
 
 def circle_limit_map(thetas: np.ndarray, m: int) -> np.ndarray:
@@ -451,21 +453,31 @@ def _compare_to_reference(ref: np.ndarray, E: np.ndarray,
     return aligned, gw_cost(coupling_identity(image_fin), image_fin, image_ref, 2)
 
 
-def _circle_row(n: int, m: int, refine: int) -> ConvergenceRow:
-    space = sample(Sphere(1), SampleSpec(mode="grid", n=n))
-    result = eigendecompose(double_center(space))
-    E = embed(result, m)
+def _grid_row(space, n: int, m: int, refine: int) -> ConvergenceRow:
+    """One sweep row on the circle or ``torus:k`` grid of n points per factor,
+    against the analytic limit map; on the torus (product additivity) that is
+    one circle map of m // k columns per factor, in the grid's left-major
+    point order. Only circle rows fill the transport and kernel-gap columns:
+    a torus fine grid would have (refine n)^k points."""
+    k = space.k if isinstance(space, Torus) else 1
+    grid = sample(space, SampleSpec(mode="grid", n=n))
+    E = embed(eigendecompose(double_center(grid)), m)
     thetas = TWO_PI * np.arange(n) / n
-    aligned, gw2 = _compare_to_reference(circle_limit_map(thetas, m), E, space.w)
+    ref = np.hstack([circle_limit_map(a.ravel(), m // k)
+                     for a in np.meshgrid(*[thetas] * k, indexing="ij")])
+    aligned, gw2 = _compare_to_reference(ref, E, grid.w)
+    if k > 1:
+        return ConvergenceRow(n=n, aligned_l2=aligned, gw2_images=gw2,
+                              w4=math.nan, hs_lhs=math.nan, hs_rhs=math.nan)
 
     fine_n = refine * n
-    fine = sample(Sphere(1), SampleSpec(mode="grid", n=fine_n))
+    fine = sample(space, SampleSpec(mode="grid", n=fine_n))
     assign = nearest_grid_assignment(fine_n, n)
-    coup = coupling_nearest(fine, space, assign)
+    coup = coupling_nearest(fine, grid, assign)
     fine_thetas = TWO_PI * np.arange(fine_n) / fine_n
     disp = _circle_arc(fine_thetas, thetas[assign])
     w4_map = float(np.sum(fine.w * disp**4) ** 0.25)
-    bound = check_transport_bound(fine, space, coup, w4_map)
+    bound = check_transport_bound(fine, grid, coup, w4_map)
     return ConvergenceRow(
         n=n,
         aligned_l2=aligned,
@@ -476,46 +488,23 @@ def _circle_row(n: int, m: int, refine: int) -> ConvergenceRow:
     )
 
 
-def _empirical_rows(space, sizes: Sequence[int], m: int) -> list[ConvergenceRow]:
-    """No analytic reference: align each grid embedding to the finest one,
-    restricted along the grid refinement. Reference-only columns are NaN."""
-    sizes = sorted(sizes)
-    finest = sizes[-1]
-    for n in sizes:
-        if finest % n:
-            raise UnsupportedSpace("empirical reference needs nested grid sizes")
-    fin_space = sample(space, SampleSpec(mode="grid", n=finest))
-    fin_res = eigendecompose(double_center(fin_space))
-    fin_E = embed(fin_res, m)
-    k = space.k if isinstance(space, Torus) else 1
-    rows = []
-    for n in sizes:
-        fs = sample(space, SampleSpec(mode="grid", n=n))
-        E = embed(eigendecompose(double_center(fs)), m)
-        step = finest // n
-        axis = step * np.arange(n)
-        flat = axis.copy()
-        for _ in range(k - 1):
-            flat = (flat[:, None] * finest + axis[None, :]).ravel()
-        aligned, gw2 = _compare_to_reference(fin_E[flat], E, fs.w)
-        rows.append(ConvergenceRow(n=n, aligned_l2=aligned, gw2_images=gw2,
-                                   w4=math.nan, hs_lhs=math.nan, hs_rhs=math.nan))
-    return rows
-
-
 def convergence_experiment(space, sizes: Sequence[int], m: int,
                            refine: int = 4) -> list[ConvergenceRow]:
-    """Grid-size sweep of the finite embedding against its limit.
+    """Grid-size sweep of the finite embedding against its limit, on the
+    circle or a flat torus.
 
-    For the circle each row reports the orthogonally aligned L^2(mu_n)
-    discrepancy to the analytic limit map, an order-2 distortion upper bound
-    between the images under the grid coupling, the exact order-4 transport
-    distance to the uniform measure, and one kernel-gap bound instance
-    against a ``refine`` times finer grid. Other grid spaces report
-    empirical-only columns (alignment against the finest grid embedding).
+    Each row reports the orthogonally aligned L^2(mu_n) discrepancy to the
+    analytic limit map and an order-2 distortion upper bound between the
+    images under the grid coupling. Circle rows add the exact order-4
+    transport distance to the uniform measure and one kernel-gap bound
+    instance against a ``refine`` times finer grid. ``m`` is rounded up to
+    whole degenerate eigenvalue blocks (2k columns per odd degree on
+    ``torus:k``): Procrustes cannot align part of a block.
     """
-    if isinstance(space, Sphere) and space.d == 1:
-        return [_circle_row(int(n), m, refine) for n in sorted(sizes)]
-    if isinstance(space, Torus):
-        return _empirical_rows(space, sizes, m)
-    raise UnsupportedSpace(f"no grid convergence reference for {space!r}")
+    if not (isinstance(space, Torus) or (isinstance(space, Sphere) and space.d == 1)):
+        raise UnsupportedSpace(f"no grid convergence reference for {space!r}")
+    if m < 1:
+        raise DimensionMismatch(f"embedding dimension must be >= 1, got {m}")
+    block = 2 * space.k if isinstance(space, Torus) else 2
+    m = -(-m // block) * block
+    return [_grid_row(space, int(n), m, refine) for n in sorted(sizes)]

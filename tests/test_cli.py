@@ -457,6 +457,19 @@ class TestRun:
         assert run(argv) == 2
         assert not (tmp_path / "converge.csv").exists()
 
+    def test_converge_torus_sizes_need_not_nest(self, tmp_path):
+        out = tmp_path / "torus.csv"
+        assert run(["stability", "converge", "--space", "torus:2", "--sizes", "6,8",
+                    "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows[:, 0].tolist() == [6, 8] and np.all(np.isfinite(rows[:, 1:3]))
+
+    def test_converge_m_below_one_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        assert run(["stability", "converge", "--sizes", "8", "--m", "0", "--out", str(out)]) == 2
+        assert "DimensionMismatch" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["stability", "converge", "--space", "circle@random", "--sizes", "16,32"],
         ["space", "gen", "--space", "circle@random", "--n", "8"],

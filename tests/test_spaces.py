@@ -37,6 +37,7 @@ from mdslab.spaces import (
     Sphere,
     Torus,
     TriangleViolation,
+    _circle_arc,
     _fmt,
     _read_csv,
     distance,
@@ -212,6 +213,44 @@ class TestAnalyticDistance:
     def test_off_manifold_rejected(self):
         with pytest.raises(PointOffManifold):
             distance(Sphere(1), np.array([1.1, 0.0]), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("space, x, y", [
+        (Sphere(2), [math.nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        (Snowflake(Sphere(1), 0.5), [1.0, 0.0], [0.0, math.nan]),
+        (Torus(2), [math.nan, 0.0], [0.0, 0.0]),
+        (Torus(2), [math.inf, 0.0], [0.0, 0.0]),
+        (Torus(2), [0.0, 0.0], [0.0, -math.inf]),
+    ], ids=["sphere_nan", "snowflake_nan", "torus_nan", "torus_inf", "torus_neg_inf"])
+    def test_non_finite_point_rejected(self, space, x, y):
+        with pytest.raises(PointOffManifold):
+            distance(space, x, y)
+
+
+def _arc_modulo_form(a, b):
+    """The arc as written before angles were required to lie in [0, 2 pi]."""
+    delta = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % (2 * math.pi)
+    return np.minimum(delta, 2 * math.pi - delta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4096), st.data())
+def test_circle_arc_on_grid_angles_equals_modulo_form(n, data):
+    theta = 2 * math.pi * np.arange(n) / n
+    cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    a, b = theta[:, None], theta[cols][None, :]
+    assert np.array_equal(_circle_arc(a, b), _arc_modulo_form(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(*[
+    arrays(np.float64, k, elements=st.floats(-1e3, 1e3, allow_nan=False)) for _ in range(2)
+])))
+def test_torus_distance_of_any_finite_angles(xy):
+    x, y = xy
+    old = float(np.sqrt(np.sum(_arc_modulo_form(x, y) ** 2)))
+    got = distance(Torus(x.size), x, y)
+    assert abs(got - old) <= 1e-12
+    assert got == distance(Torus(x.size), y, x)
 
 
 class TestSampling:

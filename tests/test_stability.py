@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import equilateral_triangle, random_metric_space, shortest_path_completion, two_points
-from mdslab.mds_core import double_center, eigendecompose
+from mdslab.mds_core import DimensionMismatch, double_center, eigendecompose
 from mdslab.spaces import SampleSpec, Sphere, Torus, finite_space_from_matrix, fourth_moment_norm, sample
 from mdslab.stability import (
     BoundViolated,
@@ -422,12 +422,27 @@ class TestConvergence:
         L4 = circle_limit_map(thetas, 4)
         assert np.allclose(L4[:, 2], math.sqrt(2.0 / 9.0) * np.cos(3 * thetas), atol=1e-9)
 
-    def test_torus_empirical_branch(self):
-        rows = convergence_experiment(Torus(2), [4, 8, 16], 2)
+    def test_torus_rows_against_limit_map(self):
+        # m = 2 cuts the 4-fold top block of torus:2; it is rounded up to 4.
+        rows = convergence_experiment(Torus(2), [4, 8, 16, 32], 2)
         aligned = [r.aligned_l2 for r in rows]
-        assert aligned[-1] <= 1e-10  # finest aligns with itself
-        assert aligned[0] > aligned[1]
-        assert math.isnan(rows[0].w4)
+        assert all(0.0 < b <= 0.3 * a for a, b in zip(aligned, aligned[1:]))
+        assert aligned[-1] < 0.005
+        for r in rows:
+            assert math.isnan(r.w4) and math.isnan(r.hs_lhs) and math.isnan(r.hs_rhs)
+
+    def test_circle_odd_m_rounds_up_to_whole_pairs(self):
+        rows3 = convergence_experiment(Sphere(1), [16, 32, 64], 3)
+        rows4 = convergence_experiment(Sphere(1), [16, 32, 64], 4)
+        assert rows3 == rows4
+        aligned = [r.aligned_l2 for r in rows3]
+        assert all(a > b for a, b in zip(aligned, aligned[1:]))
+
+    @pytest.mark.parametrize("space", [Sphere(1), Torus(2)], ids=["circle", "torus"])
+    def test_nonpositive_m_rejected(self, space):
+        # the error names the m asked for, not its round-up
+        with pytest.raises(DimensionMismatch, match="got -1"):
+            convergence_experiment(space, [8], -1)
 
     def test_unsupported_space(self):
         with pytest.raises(UnsupportedSpace):
