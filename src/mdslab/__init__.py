@@ -29,16 +29,10 @@ from .mds_core import (
     eigendecompose,
     embed,
     embed_negative,
-    gram_configuration,
-    krein_map,
-    lp_normalize,
-    reconstruct_distance_sq,
     spectral_embedding,
-    strain,
 )
 from .sphere_spectral import (
     AsymptoticScan,
-    alpha_ratio,
     asymptotic_scan,
     coeff,
     eigenvalue_closed,
@@ -55,9 +49,7 @@ from .stability import (
     convergence_experiment,
     coupling_identity,
     coupling_nearest,
-    coupling_product,
     eigen_perturbation_check,
-    gw_bruteforce,
     gw_cost,
     hs_gap,
     procrustes,

@@ -257,9 +257,9 @@ def _cmd_product_check(args) -> None:
     res_b = eigendecompose(double_center(B))
     pred = predict_product_spectrum(res_a, res_b)
     direct = eigendecompose(double_center(product_space(A, B)))
-    direct_nz = np.array([v for v in direct.eigenvalues if v != 0.0])
+    direct_nz = direct.eigenvalues[direct.eigenvalues != 0.0]
     k = min(pred.eigenvalues.size, direct_nz.size)
-    spectrum_err = float(np.max(np.abs(np.sort(pred.eigenvalues)[::-1][:k] - direct_nz[:k]))) if k else 0.0
+    spectrum_err = float(np.max(np.abs(pred.eigenvalues[:k] - direct_nz[:k]))) if k else 0.0
     additivity_err = verify_product_embedding(pred, direct)
     rows = [[int(i + 1), pred.eigenvalues[i],
              direct_nz[i] if i < direct_nz.size else 0.0] for i in range(pred.eigenvalues.size)]

@@ -2,8 +2,7 @@
 
 Double centering of the squared-distance kernel, a deterministic symmetric
 eigendecomposition, the spectral embedding maps (positive part, negative
-part, and the combined indefinite-signature map), strain evaluation, and the
-exact squared-distance reconstruction identity
+part), and the exact squared-distance reconstruction identity
 
     sum_j lambda_j (u_j(x_i) - u_j(x_k))^2 = d(x_i, x_k)^2,
 
@@ -17,13 +16,11 @@ P K P / n, and u = sqrt(n) v.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .spaces import BadWeights, FiniteSpace, _read_csv, _write_csv
+from .spaces import BadWeights, FiniteSpace, _write_csv
 
 
 class NoConvergence(RuntimeError):
@@ -34,35 +31,21 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class NonUniformWeights(ValueError):
-    """Strain is defined only for uniformly weighted spaces."""
-
-
-UNIFORM_WEIGHT_TOL = 1e-12
-
-
 @dataclass(frozen=True, eq=False)
 class CenteredOperator:
     """Centered kernel operator of a finite space.
 
-    ``kernel_matrix`` is the raw kernel K = -D*D/2, ``S`` the symmetrized
-    centered operator W^{1/2} K_T W^{1/2}. The vector sqrt(w) spans the
-    structural null direction of S (constants are killed by centering).
+    ``S`` is the symmetrized centered operator W^{1/2} K_T W^{1/2} of the
+    raw kernel K = -D*D/2. The vector sqrt(w) spans the structural null
+    direction of S (constants are killed by centering).
     """
 
     S: np.ndarray
     w: np.ndarray
-    kernel_matrix: np.ndarray
 
     @property
     def n(self) -> int:
         return self.S.shape[0]
-
-    @property
-    def centered_kernel(self) -> np.ndarray:
-        """K_T recovered from the symmetrized form."""
-        inv = 1.0 / np.sqrt(self.w)
-        return self.S * inv[:, None] * inv[None, :]
 
 
 def double_center(space: FiniteSpace) -> CenteredOperator:
@@ -81,7 +64,7 @@ def double_center(space: FiniteSpace) -> CenteredOperator:
     S = KT * sq[:, None] * sq[None, :]
     S = (S + S.T) / 2.0
     S.setflags(write=False)
-    return CenteredOperator(S=S, w=w, kernel_matrix=K)
+    return CenteredOperator(S=S, w=w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,18 +169,6 @@ def embed(result: EmbeddingResult, m: int) -> np.ndarray:
     return out
 
 
-def gram_configuration(result: EmbeddingResult, m: Optional[int] = None) -> np.ndarray:
-    """Strain-optimal point configuration y_i = (sqrt(lambda_j) v_j[i])_j.
-
-    This is the eigenvector-scaled variant whose Gram matrix is the best
-    positive semidefinite rank-m approximation of S; for uniform weights it
-    equals :func:`embed` divided by sqrt(n).
-    """
-    if m is None:
-        m = result.positive_count
-    return embed(result, max(m, 1)) * np.sqrt(result.w)[:, None]
-
-
 def embed_negative(result: EmbeddingResult) -> np.ndarray:
     """Embedding built from the negative spectrum: coordinates
     sqrt(|lambda_j^-|) u_j^-(x_i), largest magnitude first."""
@@ -209,74 +180,13 @@ def embed_negative(result: EmbeddingResult) -> np.ndarray:
     return out
 
 
-def krein_map(result: EmbeddingResult) -> tuple[np.ndarray, np.ndarray]:
-    """Combined map N = (M, M^-) into the indefinite inner-product space:
-    row i of ``P`` (positive part) and of ``N`` (negative part) is the image
-    of point i, and ||P_i - P_k||^2 - ||N_i - N_k||^2 = d(x_i, x_k)^2."""
-    P = embed(result, max(result.positive_count, 1))[:, : result.positive_count]
-    return P, embed_negative(result)
-
-
-def reconstruct_distance_sq(result: EmbeddingResult, i: int, j: int) -> float:
-    """Signed spectral reconstruction of the squared distance between points i, j."""
-    du = result.U[i] - result.U[j]
-    return float(np.sum(result.eigenvalues * du * du))
-
-
 def reconstruction_matrix(result: EmbeddingResult) -> np.ndarray:
-    """All-pairs signed reconstruction: entry (i, j) is reconstruct_distance_sq(i, j)."""
+    """All-pairs signed reconstruction of squared distances: entry (i, j) is
+    sum_k lambda_k (u_k(x_i) - u_k(x_j))^2 over the full signed spectrum."""
     KT = (result.U * result.eigenvalues) @ result.U.T
     diag = np.diagonal(KT)
     out = diag[:, None] + diag[None, :] - KT - KT.T
     return out
-
-
-def strain(op: CenteredOperator, points: np.ndarray) -> float:
-    """Strain of a candidate configuration: sum_ij (S_ij - y_i . y_j)^2.
-
-    Defined for uniformly weighted spaces, where S equals the classical
-    double-centered matrix; weighted inputs are rejected.
-    """
-    n = op.n
-    if np.max(np.abs(op.w - 1.0 / n)) > UNIFORM_WEIGHT_TOL:
-        raise NonUniformWeights("strain requires uniform weights 1/n")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] != n:
-        raise DimensionMismatch(f"expected {n} points, got array of shape {pts.shape}")
-    G = pts @ pts.T
-    return float(np.sum((op.S - G) ** 2))
-
-
-def lp_normalize(result: EmbeddingResult, p: float) -> np.ndarray:
-    """Positive-part embedding with eigenfunctions renormalized in L^p(mu_n).
-
-    Coordinates are sqrt(lambda_j) u_j(x_i) / ||u_j||_p with
-    ||u||_p = (sum_i w_i |u(x_i)|^p)^(1/p). Requires finite p >= 4.
-    """
-    if not math.isfinite(p) or p < 4.0:
-        raise ValueError(f"L^p normalization needs finite p >= 4, got {p}")
-    k = result.positive_count
-    out = np.zeros((result.n, k))
-    if k:
-        Upos = result.U[:, :k]
-        norms = (result.w @ np.abs(Upos) ** p) ** (1.0 / p)
-        out[:, :] = Upos * (np.sqrt(result.eigenvalues[:k]) / norms)
-    return out
-
-
-def tail_diagnostic(result: EmbeddingResult, m: int) -> float:
-    """Report sup over sample points of sum_{j>m} lambda_j^+ u_j^+(x)^2.
-
-    Diagnostic only: a vanishing tail (uniformly in refinements) is what
-    upgrades almost-everywhere injectivity of the embedding to injectivity
-    everywhere, but nothing is asserted here.
-    """
-    k = result.positive_count
-    if m >= k:
-        return 0.0
-    lam = result.eigenvalues[m:k]
-    Utail = result.U[:, m:k]
-    return float(np.max((Utail**2) @ lam))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +195,3 @@ def tail_diagnostic(result: EmbeddingResult, m: int) -> float:
 
 def write_embedding_csv(result: EmbeddingResult, path: str) -> None:
     _write_csv(path, [], [result.eigenvalues[None, :], result.U])
-
-
-def read_embedding_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    _, rows = _read_csv(path, 0)
-    return rows[0], rows[1:]

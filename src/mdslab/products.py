@@ -32,64 +32,19 @@ def product_space(A: FiniteSpace, B: FiniteSpace) -> FiniteSpace:
 
 @dataclass(frozen=True, eq=False)
 class ProductPrediction:
-    """Nonzero product spectrum predicted from the factors.
-
-    ``eigenvalues`` is the merged union sorted descending; ``factor`` and
-    ``column`` record where each one came from (0 = left, 1 = right, column
-    in that factor's eigenfunction table).
-    """
+    """Nonzero product spectrum predicted from the factors: ``eigenvalues``
+    is the merged union sorted descending."""
 
     eigenvalues: np.ndarray
-    factor: np.ndarray
-    column: np.ndarray
     left: EmbeddingResult
     right: EmbeddingResult
-
-    def lifted_eigenfunction(self, k: int) -> np.ndarray:
-        """Eigenfunction k on the product points, flattened A-major."""
-        nb = self.right.n
-        na = self.left.n
-        if self.factor[k] == 0:
-            u = self.left.U[:, self.column[k]]
-            return np.repeat(u, nb)
-        v = self.right.U[:, self.column[k]]
-        return np.tile(v, na)
-
-    def embedded_dist_sq(self, i: int, j: int) -> float:
-        """Predicted squared embedding distance between flat product indices,
-        positive parts at full positive rank: the sum of the factor values."""
-        nb = self.right.n
-        ia, ib = divmod(i, nb)
-        ja, jb = divmod(j, nb)
-        out = 0.0
-        for res, a, b in ((self.left, ia, ja), (self.right, ib, jb)):
-            k = res.positive_count
-            if k:
-                du = res.U[a, :k] - res.U[b, :k]
-                out += float(np.sum(res.eigenvalues[:k] * du * du))
-        return out
 
 
 def predict_product_spectrum(specA: EmbeddingResult, specB: EmbeddingResult) -> ProductPrediction:
     """Merge the factor nonzero spectra into the predicted product spectrum."""
-    lams = []
-    facs = []
-    cols = []
-    for f, res in enumerate((specA, specB)):
-        for c, lam in enumerate(res.eigenvalues):
-            if lam != 0.0:
-                lams.append(lam)
-                facs.append(f)
-                cols.append(c)
-    lams = np.array(lams)
-    order = np.argsort(-lams, kind="stable")
-    return ProductPrediction(
-        eigenvalues=lams[order],
-        factor=np.array(facs)[order],
-        column=np.array(cols)[order],
-        left=specA,
-        right=specB,
-    )
+    lams = np.concatenate([res.eigenvalues[res.eigenvalues != 0.0] for res in (specA, specB)])
+    return ProductPrediction(eigenvalues=lams[np.argsort(-lams, kind="stable")],
+                             left=specA, right=specB)
 
 
 def verify_product_embedding(prediction: ProductPrediction, direct: EmbeddingResult,
@@ -118,12 +73,8 @@ def verify_product_embedding(prediction: ProductPrediction, direct: EmbeddingRes
 @dataclass(frozen=True, eq=False)
 class TorusCheck:
     max_error: float
-    n_per_factor: int
-    k_factors: int
-    trunc_degree: int
     factor_dist: np.ndarray
     embedded_sq: np.ndarray
-    target: np.ndarray
 
 
 def torus_check(n_per_factor: int, k_factors: int, trunc: int,
@@ -150,15 +101,5 @@ def torus_check(n_per_factor: int, k_factors: int, trunc: int,
     thetas = TWO_PI * np.arange(n_per_factor) / n_per_factor
     arc = _circle_arc(thetas[idx[:, 0, :]], thetas[idx[:, 1, :]])
     embedded_sq = np.sum(sq_one[idx[:, 0, :], idx[:, 1, :]], axis=1)
-    dist_sum = np.sum(arc, axis=1)
-    target = math.pi * dist_sum
-    err = float(np.max(np.abs(embedded_sq - target)))
-    return TorusCheck(
-        max_error=err,
-        n_per_factor=n_per_factor,
-        k_factors=k_factors,
-        trunc_degree=trunc,
-        factor_dist=arc,
-        embedded_sq=embedded_sq,
-        target=target,
-    )
+    err = float(np.max(np.abs(embedded_sq - math.pi * np.sum(arc, axis=1))))
+    return TorusCheck(max_error=err, factor_dist=arc, embedded_sq=embedded_sq)

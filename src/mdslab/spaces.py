@@ -63,8 +63,8 @@ class FiniteSpace:
     Instances are validated and immutable. Input from outside the library
     goes through :func:`finite_space_from_matrix` (or :func:`read_space_csv`),
     which checks the triangle inequality exactly; spaces the library builds
-    as metrics by construction (:func:`sample`, products, Euclidean images,
-    pullbacks) get the O(n^2) checks only.
+    as metrics by construction (:func:`sample`, products, Euclidean images)
+    get the O(n^2) checks only.
     """
 
     D: np.ndarray

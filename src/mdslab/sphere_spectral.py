@@ -32,8 +32,8 @@ independent evaluators stay as its oracles:
 * a quadrature route: the Funk-Hecke pairing of the kernel profile with the
   normalized zonal function (cos(j phi) for d = 1).
 
-At odd degree j = 2n + 1, ``theta(d, n, s)`` is theta_j(s); it, its term
-ratio and its peak stay exposed for the decay analysis.
+At odd degree j = 2n + 1, ``theta(d, n, s)`` is theta_j(s); it and its peak
+stay exposed for the decay analysis.
 """
 from __future__ import annotations
 
@@ -50,6 +50,9 @@ LNPI = math.log(math.pi)
 
 SERIES_TERM_BUDGET = 10**7
 QUAD_TOL_FUNK = 1e-9
+# Largest Gauss-Legendre rule: leggauss eigensolves a dense nodes x nodes
+# matrix, seconds at 4096 nodes and minutes at 8192.
+QUAD_MAX_NODES = 4096
 
 
 class ToleranceNotReached(RuntimeError):
@@ -277,13 +280,19 @@ def eigenvalue_quadrature(d: int, j: int, kind: str = "full") -> float:
     The Funk-Hecke pairing of the kernel profile with the normalized degree-j
     zonal function under the normalized surface measure (for d = 1 the Fourier
     coefficient (1/pi) int_0^pi k(phi) cos(j phi) dphi), evaluated in the angle
-    variable, where the integrand is analytic, with node counts doubled until
-    successive values agree to 1e-9.
+    variable, where the integrand is analytic, with node counts doubled from
+    max(64, 2j) until successive values agree to 1e-9. No rule exceeds
+    ``QUAD_MAX_NODES``, so degrees whose first two rules would (j > 1024)
+    raise ``ValueError`` before any rule is built.
     """
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
     if j < 0:
         raise ValueError(f"degree must be >= 0, got {j}")
+    nodes = max(64, 2 * j)
+    if 2 * nodes > QUAD_MAX_NODES:
+        raise ValueError(f"degree {j} needs a {2 * nodes}-node quadrature rule; "
+                         f"the cap is {QUAD_MAX_NODES} nodes (degree <= {QUAD_MAX_NODES // 4})")
     f = _kernel_profile(kind)
     const = math.exp(gammaln((d + 1.0) / 2.0) - gammaln(d / 2.0)) / math.sqrt(math.pi)
 
@@ -293,9 +302,8 @@ def eigenvalue_quadrature(d: int, j: int, kind: str = "full") -> float:
         vals = f(phi) * zonal_value(d, j, np.cos(phi)) * np.sin(phi) ** (d - 1)
         return const * 0.5 * math.pi * float(w @ vals)
 
-    nodes = max(64, 2 * j)
     prev = value_at(nodes)
-    while nodes <= 65536:
+    while 2 * nodes <= QUAD_MAX_NODES:
         nodes *= 2
         cur = value_at(nodes)
         if abs(cur - prev) <= QUAD_TOL_FUNK:
@@ -383,16 +391,13 @@ def theta(d: int, n: int, s: float) -> SignedLog:
     return SignedLog(1, float(_series_log_term(d, 2 * n + 1)(np.array([float(s)]))[0]))
 
 
-def alpha_ratio(d: int, n: int, s: float) -> float:
-    """Term ratio theta_{2n+1}(s+1) / theta_{2n+1}(s) = (s+n+1/2)^2 / ((s+1)(s+2n+(d+3)/2))."""
-    return (s + n + 0.5) ** 2 / ((s + 1.0) * (s + 2.0 * n + (d + 3.0) / 2.0))
-
-
 def s_peak(d: int, n: int) -> int:
     """Peak location of theta_{2n+1}: ceil((2n-1)^2 / (2(d+3)) - 1), clamped at 0.
 
-    The ratio alpha crosses 1 exactly at s* = (2n-1)^2/(2(d+3)) - 1, so the
-    summand increases up to the ceiling and decreases after.
+    The term ratio theta_{2n+1}(s+1) / theta_{2n+1}(s) =
+    (s+n+1/2)^2 / ((s+1)(s+2n+(d+3)/2)) crosses 1 exactly at
+    s* = (2n-1)^2/(2(d+3)) - 1, so the summand increases up to the ceiling
+    and decreases after.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

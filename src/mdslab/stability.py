@@ -15,20 +15,13 @@ are both sufficient and honest. Outputs are labeled as upper bounds.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .mds_core import (
-    CenteredOperator,
-    DimensionMismatch,
-    double_center,
-    eigendecompose,
-    embed,
-)
+from .mds_core import DimensionMismatch, double_center, eigendecompose, embed
 from .spaces import (
     TWO_PI,
     FiniteSpace,
@@ -49,10 +42,6 @@ MARGINAL_TOL = 1e-12
 
 
 class MarginalMismatch(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
     pass
 
 
@@ -179,31 +168,6 @@ def gw_cost(coupling: Coupling, A: FiniteSpace, B: FiniteSpace, p: int) -> float
     return max(_coupled_moment(coupling, A.D, B.D, p), 0.0) ** (1.0 / p)
 
 
-def gw_bruteforce(A: FiniteSpace, B: FiniteSpace, p: int) -> float:
-    """Minimum coupling cost over all permutation couplings of two equal-size
-    uniform spaces (n <= 8).
-
-    Still only an upper bound on the order-p Gromov-Kantorovich distance:
-    optima of the quadratic objective need not be permutations. Used for
-    consistency and monotonicity checks, never as exact ground truth.
-    """
-    if A.n != B.n:
-        raise TooLarge(f"need equal sizes, got {A.n} and {B.n}")
-    n = A.n
-    if n > 8:
-        raise TooLarge(f"permutation search is n! work; n={n} > 8")
-    for fs in (A, B):
-        if np.max(np.abs(fs.w - 1.0 / n)) > MARGINAL_TOL:
-            raise MarginalMismatch("permutation couplings need uniform weights")
-    best = math.inf
-    DA, DB = A.D, B.D
-    for perm in itertools.permutations(range(n)):
-        idx = np.array(perm)
-        cost = float(np.sum(np.abs(DA - DB[np.ix_(idx, idx)]) ** p)) / (n * n)
-        best = min(best, cost)
-    return best ** (1.0 / p)
-
-
 def w4_circle_grid(n: int) -> float:
     """Exact order-4 transport distance between the uniform circle measure
     and the uniform n-point grid measure: pi * 5^(-1/4) / n."""
@@ -286,20 +250,13 @@ class AlignmentResult:
 
     Q: np.ndarray
     residual: float
-    diagonal_only: bool
 
 
-def procrustes(Xpts: np.ndarray, Ypts: np.ndarray, weights: Optional[np.ndarray] = None,
-               diagonal_only: bool = False) -> AlignmentResult:
+def procrustes(Xpts: np.ndarray, Ypts: np.ndarray,
+               weights: Optional[np.ndarray] = None) -> AlignmentResult:
     """Minimize sum_i w_i ||X_i - Q Y_i||^2 over the full orthogonal group
     (reflections included), via the polar factor of the weighted
-    cross-covariance.
-
-    With ``diagonal_only`` the minimization runs over diagonal sign matrices
-    instead; the objective separates over coordinates, so the optimum is the
-    per-coordinate sign of the weighted correlation (equivalent to searching
-    all 2^m sign patterns).
-    """
+    cross-covariance."""
     X = np.asarray(Xpts, dtype=float)
     Y = np.asarray(Ypts, dtype=float)
     if X.shape != Y.shape or X.ndim != 2:
@@ -311,16 +268,11 @@ def procrustes(Xpts: np.ndarray, Ypts: np.ndarray, weights: Optional[np.ndarray]
         w = np.asarray(weights, dtype=float)
         if w.shape != (n,):
             raise DimensionMismatch(f"weights have shape {w.shape}, expected ({n},)")
-    if diagonal_only:
-        signs = np.sign(np.sum(w[:, None] * X * Y, axis=0))
-        signs[signs == 0.0] = 1.0
-        Q = np.diag(signs)
-    else:
-        C = (X * w[:, None]).T @ Y
-        Umat, _, Vt = np.linalg.svd(C)
-        Q = Umat @ Vt
+    C = (X * w[:, None]).T @ Y
+    Umat, _, Vt = np.linalg.svd(C)
+    Q = Umat @ Vt
     resid = math.sqrt(max(float(np.sum(w[:, None] * (X - Y @ Q.T) ** 2)), 0.0))
-    return AlignmentResult(Q=Q, residual=resid, diagonal_only=diagonal_only)
+    return AlignmentResult(Q=Q, residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +285,6 @@ class PerturbationReport:
     the perturbation, plus an optional spectral projector comparison."""
 
     sup_gap: float
-    l2_gap: float
     hs_norm: float
     matching_ok: bool
     projector_gap: Optional[float] = None
@@ -362,10 +313,8 @@ def eigen_perturbation_check(S1: np.ndarray, S2: np.ndarray,
     vals1, vecs1 = vals1[::-1], vecs1[:, ::-1]
     vals2, vecs2 = vals2[::-1], vecs2[:, ::-1]
     hs = float(np.linalg.norm(S1 - S2))
-    gaps = np.abs(vals1 - vals2)
-    sup_gap = float(gaps.max())
-    l2_gap = float(np.sqrt(np.sum(gaps**2)))
-    report = dict(sup_gap=sup_gap, l2_gap=l2_gap, hs_norm=hs, matching_ok=sup_gap <= hs)
+    sup_gap = float(np.max(np.abs(vals1 - vals2)))
+    report = dict(sup_gap=sup_gap, hs_norm=hs, matching_ok=sup_gap <= hs)
     if projector_index is not None:
         k = projector_index
         lam_k = vals1[k]
@@ -386,19 +335,6 @@ def eigen_perturbation_check(S1: np.ndarray, S2: np.ndarray,
                 projector_dims_match=int(sel1.sum()) == int(sel2.sum()),
             )
     return PerturbationReport(**report)
-
-
-def pullback_operator(fine: FiniteSpace, coarse: FiniteSpace,
-                      assign: Sequence[int]) -> CenteredOperator:
-    """Centered operator of the coarse space pulled back to the fine index
-    set through a point map: the kernel at (i, j) is the coarse kernel at
-    (assign[i], assign[j]) and the centering uses the fine weights. Shares
-    the coarse nonzero spectrum when the map pushes the weights forward.
-    The pulled-back distance is a pseudometric because the coarse one is a
-    metric, so only the O(n^2) checks run."""
-    assign = np.asarray(assign, dtype=int)
-    D_pull = coarse.D[np.ix_(assign, assign)]
-    return double_center(_metric_space(D_pull, fine.w))
 
 
 # ---------------------------------------------------------------------------

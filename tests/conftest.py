@@ -1,5 +1,9 @@
-"""Shared fixtures: small exactly-solvable spaces and random metric generators."""
+"""Shared fixtures: small exactly-solvable spaces, random metric generators
+and test oracles."""
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -45,6 +49,23 @@ def random_metric_space(rng: np.random.Generator, n: int, uniform: bool = True) 
         w = rng.uniform(0.5, 1.5, size=n)
         w /= w.sum()
     return finite_space_from_matrix(D, w)
+
+
+def gw_bruteforce(A: FiniteSpace, B: FiniteSpace, p: int) -> float:
+    """Minimum order-p distortion over all permutation couplings of two
+    equal-size uniform spaces (n <= 8, n! work).
+
+    Still only an upper bound on the order-p Gromov-Kantorovich distance:
+    optima of the quadratic objective need not be permutations.
+    """
+    n = A.n
+    assert B.n == n <= 8, f"need equal sizes n <= 8, got {A.n} and {B.n}"
+    assert np.allclose(A.w, 1.0 / n) and np.allclose(B.w, 1.0 / n), "need uniform weights"
+    best = math.inf
+    for perm in itertools.permutations(range(n)):
+        idx = np.array(perm)
+        best = min(best, float(np.sum(np.abs(A.D - B.D[np.ix_(idx, idx)]) ** p)) / (n * n))
+    return best ** (1.0 / p)
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 import mdslab
 import mdslab.cli
 import mdslab.products
+import mdslab.sphere_spectral
 from conftest import equilateral_triangle
 from mdslab.cli import (
     CLAIMS,
@@ -288,6 +290,19 @@ class TestRun:
                     "--method", "series", "--tol", tol]) == 2
         err = capsys.readouterr().err
         assert f"ValueError: tolerance must be positive and finite, got {tol}" in err
+
+    def test_quadrature_degree_above_node_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        # degree 1025 starts at a 2050-node rule and compares it with a
+        # 4100-node one, past QUAD_MAX_NODES: refused before any rule is built
+        built = []
+        monkeypatch.setattr(mdslab.sphere_spectral, "_gauss_legendre", built.append)
+        out = tmp_path / "eig.csv"
+        start = time.perf_counter()
+        code = run(["sphere", "eigen", "--dim", "2", "--degree", "1025",
+                    "--method", "quadrature", "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and built == [] and not out.exists()
+        assert "ValueError: degree 1025 needs a 4100-node quadrature rule" in capsys.readouterr().err
 
     def test_space_gen_krein_roundtrip(self, tmp_path, capsys, monkeypatch):
         space_csv = tmp_path / "circle.csv"

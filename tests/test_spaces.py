@@ -17,7 +17,6 @@ from mdslab.mds_core import (
     double_center,
     eigendecompose,
     embed,
-    read_embedding_csv,
     spectral_embedding,
     write_embedding_csv,
 )
@@ -47,12 +46,7 @@ from mdslab.spaces import (
     sample,
     write_space_csv,
 )
-from mdslab.stability import (
-    _image_space,
-    circle_limit_map,
-    nearest_grid_assignment,
-    pullback_operator,
-)
+from mdslab.stability import _image_space, circle_limit_map
 
 
 def named_triple(exc: TriangleViolation) -> tuple[int, int, int]:
@@ -373,8 +367,8 @@ def test_csv_codec_lossless_and_matches_cell_format(tmp_path_factory, table):
                                         negative_count=0), str(emb_path))
     want = [reference_csv_row(row)] + [reference_csv_row(r) for r in M]
     assert emb_path.read_bytes() == ("\n".join(want) + "\n").encode()
-    lam, U = read_embedding_csv(str(emb_path))
-    assert bits(lam) == bits(row) and bits(U) == bits(M)
+    _, back = _read_csv(str(emb_path), 0)
+    assert bits(back) == bits(np.vstack([row, M]))
 
 
 LAYOUTS = {
@@ -402,7 +396,7 @@ def test_readers_accept_layout_variants(tmp_path, rng, kind, layout):
         write_embedding_csv(spectral_embedding(fs), str(canon))
 
         def read(path):
-            return read_embedding_csv(str(path))
+            return _read_csv(str(path), 0)
     variant.write_bytes(LAYOUTS[layout](canon.read_text()).encode())
     assert variant.read_bytes() != canon.read_bytes()
     for got, want in zip(read(variant), read(canon)):
@@ -455,14 +449,6 @@ def _circle_image(n: int, limit: bool):
     return _image_space(points, fs.w)
 
 
-def _pullback_space():
-    fine = sample(Sphere(1), SampleSpec(mode="grid", n=128))
-    coarse = sample(Sphere(1), SampleSpec(mode="grid", n=32))
-    op = pullback_operator(fine, coarse, nearest_grid_assignment(128, 32))
-    # kernel_matrix is -D**2 / 2; the round trip through it is exact.
-    return FiniteSpace(D=np.sqrt(-2.0 * op.kernel_matrix), w=op.w)
-
-
 # Every kind of space the library builds without the triangle check.
 METRIC_BY_CONSTRUCTION = {
     "circle_grid_512": lambda: sample(Sphere(1), SampleSpec(mode="grid", n=512)),
@@ -476,7 +462,6 @@ METRIC_BY_CONSTRUCTION = {
         sample(Sphere(2), SampleSpec(mode="uniform_random", n=32, seed=1))),
     "image_space_embedding": lambda: _circle_image(256, limit=False),
     "image_space_limit_map": lambda: _circle_image(256, limit=True),
-    "pullback_operator": _pullback_space,
 }
 
 

@@ -10,16 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+import mdslab.sphere_spectral
 from mdslab.mds_core import spectral_embedding
 from mdslab.spaces import SampleSpec, Sphere, sample
 from mdslab.sphere_spectral import (
+    QUAD_MAX_NODES,
     QUAD_TOL_FUNK,
+    QuadratureNotConverged,
     ToleranceNotReached,
     _gauss_legendre,
     _gegenbauer_normalized,
     _series_log_term,
     _sum_unimodal,
-    alpha_ratio,
     asymptotic_scan,
     coeff,
     eigenvalue_closed,
@@ -32,6 +34,11 @@ from mdslab.sphere_spectral import (
     truncated_embedding_dist_sq,
     zonal_value,
 )
+
+
+def alpha_ratio(d: int, n: int, s: float) -> float:
+    """Term ratio theta_{2n+1}(s+1) / theta_{2n+1}(s) = (s+n+1/2)^2 / ((s+1)(s+2n+(d+3)/2))."""
+    return (s + n + 0.5) ** 2 / ((s + 1.0) * (s + 2.0 * n + (d + 3.0) / 2.0))
 
 
 def unit(t: float) -> np.ndarray:
@@ -203,13 +210,26 @@ class TestQuadrature:
             prev = value_at(nodes)
             while True:
                 nodes *= 2
-                assert nodes <= 131072
+                assert nodes <= QUAD_MAX_NODES
                 expect = value_at(nodes)
                 if abs(expect - prev) <= QUAD_TOL_FUNK:
                     break
                 prev = expect
             for _ in range(2):  # the second call reads the cached rules
                 assert eigenvalue_quadrature(d, j).hex() == expect.hex()
+
+    def test_doubling_stops_at_node_cap(self, monkeypatch):
+        # a rule whose value grows with its size never settles
+        built = []
+
+        def rule(nodes):
+            built.append(nodes)
+            return np.full(1, 0.3), np.array([float(nodes)])
+
+        monkeypatch.setattr(mdslab.sphere_spectral, "_gauss_legendre", rule)
+        with pytest.raises(QuadratureNotConverged):
+            eigenvalue_quadrature(2, 3)
+        assert built == [64 * 2**k for k in range(7)] and built[-1] == QUAD_MAX_NODES
 
     def test_cached_rule_is_read_only(self):
         x, w = _gauss_legendre(128)

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import equilateral_triangle, random_metric_space, shortest_path_completion, two_points
+from conftest import (equilateral_triangle, gw_bruteforce, random_metric_space,
+                      shortest_path_completion, two_points)
 from mdslab.mds_core import DimensionMismatch, double_center, eigendecompose
-from mdslab.spaces import SampleSpec, Sphere, Torus, finite_space_from_matrix, fourth_moment_norm, sample
+from mdslab.spaces import FiniteSpace, SampleSpec, Sphere, Torus, finite_space_from_matrix, sample
 from mdslab.stability import (
     BoundViolated,
     Coupling,
     MarginalMismatch,
-    TooLarge,
     UnsupportedSpace,
     check_gw_bound,
     check_transport_bound,
@@ -25,13 +25,11 @@ from mdslab.stability import (
     coupling_nearest,
     coupling_product,
     eigen_perturbation_check,
-    gw_bruteforce,
     gw_cost,
     hs_gap,
     make_coupling,
     nearest_grid_assignment,
     procrustes,
-    pullback_operator,
     w4_circle_grid,
     w4_circle_grid_numeric,
 )
@@ -209,12 +207,6 @@ class TestGwBruteforce:
         A2 = finite_space_from_matrix(A.D[np.ix_(perm, perm)], A.w)
         assert gw_bruteforce(A2, B, 4) == pytest.approx(gw_bruteforce(A, B, 4), rel=1e-12)
 
-    def test_too_large(self, rng):
-        A = random_metric_space(rng, 9)
-        with pytest.raises(TooLarge):
-            gw_bruteforce(A, A, 4)
-
-
 class TestW4:
     def test_closed_form_single_point(self):
         assert w4_circle_grid(1) == pytest.approx(math.pi * 5.0 ** (-0.25))
@@ -326,23 +318,6 @@ class TestProcrustes:
             assert res.residual <= unaligned + 1e-12
             assert np.max(np.abs(res.Q.T @ res.Q - np.eye(3))) <= 1e-10
 
-    def test_diagonal_mode(self, rng):
-        X = rng.standard_normal((20, 5))
-        signs = np.array([1.0, -1.0, 1.0, -1.0, -1.0])
-        res = procrustes(X, X * signs, diagonal_only=True)
-        assert res.diagonal_only
-        assert res.residual <= 1e-12
-        assert np.allclose(np.diagonal(res.Q), signs)
-        # diagonal optimum is exhaustive over sign patterns: compare few
-        Y = rng.standard_normal((20, 5))
-        best = math.inf
-        for mask in range(32):
-            eps = np.array([1.0 if mask >> j & 1 else -1.0 for j in range(5)])
-            best = min(best, float(np.mean(np.sum((X - Y * eps) ** 2, axis=1))))
-        got = procrustes(X, Y, diagonal_only=True).residual
-        assert got**2 == pytest.approx(best, rel=1e-12)
-
-
 class TestEigenPerturbation:
     def test_identical_matrices(self, rng):
         S = rng.standard_normal((12, 12))
@@ -387,7 +362,8 @@ class TestEigenPerturbation:
         coarse = sample(Sphere(1), SampleSpec("grid", 16))
         assign = nearest_grid_assignment(32, 16)
         op_fine = double_center(fine)
-        op_pull = pullback_operator(fine, coarse, assign)
+        # the coarse operator pulled back to the fine index set through the map
+        op_pull = double_center(FiniteSpace(D=coarse.D[np.ix_(assign, assign)], w=fine.w))
         gap = hs_gap(fine, coarse, coupling_nearest(fine, coarse, assign))
         frob = float(np.linalg.norm(op_fine.S - op_pull.S))
         assert frob <= gap + 1e-12
