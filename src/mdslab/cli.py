@@ -67,7 +67,7 @@ CLAIMS = {
     "mds krein": "signed spectral decomposition reconstructs squared distances exactly through the indefinite pair map",
     "sphere eigen": "sphere kernel eigenvalues: quadrature matches the closed form lambda_j, the series gives c_d * lambda_j with c_d = sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2)); odd degrees are positive",
     "sphere asymptotics": "the ground-truth positive eigenvalues lambda_{2n+1} decay like n^(-d-1): n^(d+1) lambda_{2n+1} tends to Gamma((d+1)/2)^2 / 4, with the series summand peaking at s = Theta(n^2)",
-    "stability converge": "circle and flat-torus grid embeddings converge to the analytic limit map after orthogonal alignment; circle rows add coupling-wise kernel-gap bounds",
+    "stability converge": "circle and flat-torus grid embeddings converge to the analytic limit map after orthogonal alignment; every row adds a coupling-wise kernel-gap bound against a refined grid",
     "product check": "product spectra merge from factor spectra and squared embedding distances add across factors",
     "torus check": "flat torus embedding satisfies the snowflake identity pi * sum of factor distances",
 }
@@ -344,7 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--space", default="circle")
     conv.add_argument("--sizes", default="16,32,64,128,256,512")
     conv.add_argument("--m", type=int, default=2, help="rounded up to whole degenerate blocks")
-    conv.add_argument("--refine", type=int, default=4)
+    conv.add_argument("--refine", type=int, default=4,
+                      help="sets the fine grid (refine * n points per factor) of the "
+                           "kernel-gap columns on circle and torus rows")
     conv.add_argument("--out", default="converge.csv")
     conv.add_argument("--config", default=None, help="JSON config file overriding the flags")
     conv.set_defaults(func=_cmd_stability_converge)

@@ -43,7 +43,10 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma, gammaln, logsumexp, poch
+
+# scipy.special is imported inside the functions that use it: the import
+# alone costs a few tenths of a second, and only the spectral commands
+# and the limit map need it.
 
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
@@ -155,6 +158,8 @@ def _sum_unimodal(log_term: Callable[[np.ndarray], np.ndarray], tol: float,
     two successive totals agree to ``tol`` in log. Raises
     :class:`ToleranceNotReached` if the budget runs out first.
     """
+    from scipy.special import logsumexp
+
     log_sum = -math.inf
     peak = -math.inf
     prev_total: Optional[float] = None
@@ -189,6 +194,8 @@ def _series_log_term(d: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
     constant coefficient's, pi^(5/2) / (16 Gamma((d+1)/2)). Real s are
     accepted, for the tail integral.
     """
+    from scipy.special import gammaln
+
     def log_term(s: np.ndarray) -> np.ndarray:
         return (
             0.5 * LNPI
@@ -221,6 +228,8 @@ def eigenvalue_series(d: int, j: int, tol: float = 1e-9) -> float:
     and must be positive and finite; at the default the value is accurate to
     about 1e-9 relative. It reads no closed form.
     """
+    from scipy.special import gammaln
+
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
     if j < 0:
@@ -246,6 +255,8 @@ def _kernel_profile(kind: str) -> Callable[[np.ndarray], np.ndarray]:
 
 def _gegenbauer_normalized(j: int, nu: float, t: np.ndarray) -> np.ndarray:
     """C_j^nu(t) / C_j^nu(1) by the three-term recurrence."""
+    from scipy.special import gammaln
+
     if j == 0:
         return np.ones_like(t)
     c_prev = np.ones_like(t)
@@ -285,6 +296,8 @@ def eigenvalue_quadrature(d: int, j: int, kind: str = "full") -> float:
     ``QUAD_MAX_NODES``, so degrees whose first two rules would (j > 1024)
     raise ``ValueError`` before any rule is built.
     """
+    from scipy.special import gammaln
+
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
     if j < 0:
@@ -325,6 +338,8 @@ def eigenvalue_closed(d: int, j: int) -> float:
     the symbol overflows only where lambda_j underflows anyway; larger d
     raise ``ValueError``.
     """
+    from scipy.special import gamma, poch
+
     if not 1 <= d <= 189:
         raise ValueError(f"the closed form covers sphere dimensions 1..189, got {d}")
     if j < 1:

@@ -5,8 +5,9 @@ bounds on the order-p Gromov-Kantorovich distance), the Hilbert-Schmidt
 kernel gap and its two distortion bounds, orthogonal Procrustes alignment,
 eigenvalue perturbation checks, and the grid convergence experiment that
 drives all of it end to end: circle and flat-torus grid embeddings both
-align to the analytic limit map, and the kernel-gap bound covers circle
-rows only.
+align to the analytic limit map, and every row carries a kernel-gap bound
+instance whose columns come from a few circle averages (orbit reduction
+and product additivity), not from an explicit fine grid.
 
 Distortion costs are never exact optima: the quadratic assignment underneath
 is intractable, and every bound used here is coupling-wise, so explicit
@@ -135,8 +136,8 @@ def _coupled_moment(coupling: Coupling, X: np.ndarray, Y: np.ndarray, p: int) ->
     r = coupling.row_marginal
     if np.all((G > 0.0).sum(axis=1) <= 1):
         a = np.argmax(G, axis=1)
-        # In place (the converge sweep's fine grid makes these n^2 arrays
-        # large); p is even, so no abs is needed.
+        # In place (the acceptance suite's refined circle grids make these
+        # n^2 arrays large); p is even, so no abs is needed.
         diff = Y[np.ix_(a, a)] - X
         diff **= p
         return float(r @ diff @ r)
@@ -389,12 +390,45 @@ def _compare_to_reference(ref: np.ndarray, E: np.ndarray,
     return aligned, gw_cost(coupling_identity(image_fin), image_fin, image_ref, 2)
 
 
+def _sum_moment(k: int, x: np.ndarray) -> float:
+    """E[(x_1 + ... + x_k)^2] for k independent copies of the values ``x``
+    under their uniform mean."""
+    return k * float(np.mean(x**2)) + k * (k - 1) * float(np.mean(x)) ** 2
+
+
+def _nearest_map_columns(n: int, refine: int, k: int) -> tuple[float, float, float]:
+    """Kernel gap, fourth-moment norm C of the fine space and order-4 map
+    cost of the nearest-point coupling from the ``refine * n`` grid to the
+    n grid of ``torus:k`` (k = 1 is the circle), without the fine grid.
+
+    Orbit reduction: rotating the circle by one coarse step maps both grids
+    and the assignment onto themselves, so every coupled mean over fine
+    pairs (i, i') is the mean over the ``refine`` rows i < refine alone.
+    Product additivity: on the torus the squared gaps, squared fine
+    distances and squared displacements add up over factors that are
+    independent under the product coupling, so each column is
+    :func:`_sum_moment` of its circle values.
+    """
+    fine_n = refine * n
+    fine_thetas = TWO_PI * np.arange(fine_n) / fine_n
+    thetas = TWO_PI * np.arange(n) / n
+    assign = nearest_grid_assignment(fine_n, n)
+    row_thetas, row_grid = fine_thetas[:refine, None], thetas[assign[:refine], None]
+    d_sq = _circle_arc(row_thetas, fine_thetas) ** 2
+    gap = d_sq - _circle_arc(row_grid, thetas[assign]) ** 2
+    disp_sq = _circle_arc(row_thetas, row_grid) ** 2
+    return (0.5 * math.sqrt(_sum_moment(k, gap)),
+            _sum_moment(k, d_sq) ** 0.25,
+            _sum_moment(k, disp_sq) ** 0.25)
+
+
 def _grid_row(space, n: int, m: int, refine: int) -> ConvergenceRow:
     """One sweep row on the circle or ``torus:k`` grid of n points per factor,
     against the analytic limit map; on the torus (product additivity) that is
     one circle map of m // k columns per factor, in the grid's left-major
-    point order. Only circle rows fill the transport and kernel-gap columns:
-    a torus fine grid would have (refine n)^k points."""
+    point order. The transport and kernel-gap columns come from
+    :func:`_nearest_map_columns` (orbit reduction and product additivity),
+    so no fine grid is built."""
     k = space.k if isinstance(space, Torus) else 1
     grid = sample(space, SampleSpec(mode="grid", n=n))
     E = embed(eigendecompose(double_center(grid)), m)
@@ -402,25 +436,17 @@ def _grid_row(space, n: int, m: int, refine: int) -> ConvergenceRow:
     ref = np.hstack([circle_limit_map(a.ravel(), m // k)
                      for a in np.meshgrid(*[thetas] * k, indexing="ij")])
     aligned, gw2 = _compare_to_reference(ref, E, grid.w)
-    if k > 1:
-        return ConvergenceRow(n=n, aligned_l2=aligned, gw2_images=gw2,
-                              w4=math.nan, hs_lhs=math.nan, hs_rhs=math.nan)
-
-    fine_n = refine * n
-    fine = sample(space, SampleSpec(mode="grid", n=fine_n))
-    assign = nearest_grid_assignment(fine_n, n)
-    coup = coupling_nearest(fine, grid, assign)
-    fine_thetas = TWO_PI * np.arange(fine_n) / fine_n
-    disp = _circle_arc(fine_thetas, thetas[assign])
-    w4_map = float(np.sum(fine.w * disp**4) ** 0.25)
-    bound = check_transport_bound(fine, grid, coup, w4_map)
+    gap, c_fine, w4_map = _nearest_map_columns(n, refine, k)
     return ConvergenceRow(
         n=n,
         aligned_l2=aligned,
         gw2_images=gw2,
-        w4=w4_circle_grid(n),
-        hs_lhs=bound.lhs,
-        hs_rhs=bound.rhs,
+        # W_4 to the uniform torus: h (k/80 + k(k-1)/144)^(1/4), h = 2 pi / n,
+        # since the Voronoi map is optimal (constant dual potential by
+        # symmetry); the factor is exactly 1 on the circle.
+        w4=w4_circle_grid(n) * (k * (5 * k + 4) / 9.0) ** 0.25,
+        hs_lhs=gap,
+        hs_rhs=2.0 * c_fine * w4_map + 2.0 * w4_map**2,
     )
 
 
@@ -430,17 +456,22 @@ def convergence_experiment(space, sizes: Sequence[int], m: int,
     circle or a flat torus.
 
     Each row reports the orthogonally aligned L^2(mu_n) discrepancy to the
-    analytic limit map and an order-2 distortion upper bound between the
-    images under the grid coupling. Circle rows add the exact order-4
-    transport distance to the uniform measure and one kernel-gap bound
-    instance against a ``refine`` times finer grid. ``m`` is rounded up to
-    whole degenerate eigenvalue blocks (2k columns per odd degree on
-    ``torus:k``): Procrustes cannot align part of a block.
+    analytic limit map, an order-2 distortion upper bound between the
+    images under the grid coupling, the exact order-4 transport distance to
+    the uniform measure, and one kernel-gap bound instance for the
+    nearest-point coupling of a ``refine`` times finer grid (per factor).
+    Those last columns need no fine grid: a rotation by one coarse step
+    reduces the circle's coupled means to ``refine`` fine rows, and product
+    additivity gives the torus columns from the same circle averages.
+    ``m`` is rounded up to whole degenerate eigenvalue blocks (2k columns
+    per odd degree on ``torus:k``): Procrustes cannot align part of a block.
     """
     if not (isinstance(space, Torus) or (isinstance(space, Sphere) and space.d == 1)):
         raise UnsupportedSpace(f"no grid convergence reference for {space!r}")
     if m < 1:
         raise DimensionMismatch(f"embedding dimension must be >= 1, got {m}")
+    if refine < 1:
+        raise ValueError(f"refine must be >= 1, got {refine}")
     block = 2 * space.k if isinstance(space, Torus) else 2
     m = -(-m // block) * block
     return [_grid_row(space, int(n), m, refine) for n in sorted(sizes)]

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -29,6 +30,17 @@ from mdslab.cli import (
 from mdslab.mds_core import eigendecompose
 from mdslab.spaces import Sphere, Snowflake, Torus, read_space_csv, write_space_csv
 from mdslab.sphere_spectral import eigenvalue_quadrature
+
+
+def fresh_python(code: str, cwd=None) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this mdslab."""
+    env = dict(os.environ)
+    src = str(Path(mdslab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 def registered_subparsers() -> dict:
@@ -485,6 +497,28 @@ class TestRun:
         assert "DimensionMismatch" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("space", ["circle", "torus:2"])
+    @pytest.mark.parametrize("refine", ["0", "-1"])
+    def test_converge_refine_below_one_exit_2(self, tmp_path, capsys, space, refine):
+        out = tmp_path / "conv.csv"
+        assert run(["stability", "converge", "--space", space, "--sizes", "4,8",
+                    "--refine", refine, "--out", str(out)]) == 2
+        assert f"refine must be >= 1, got {refine}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_torus_refine_sets_bound_columns(self, tmp_path):
+        # --refine moves only the kernel-gap columns of torus rows
+        tables = []
+        for refine in ("2", "4"):
+            out = tmp_path / f"conv{refine}.csv"
+            assert run(["stability", "converge", "--space", "torus:2", "--sizes", "4,8",
+                        "--refine", refine, "--out", str(out)]) == 0
+            tables.append(np.loadtxt(out, delimiter=",", skiprows=1))
+        a, b = tables
+        assert np.array_equal(a[:, :4], b[:, :4])  # n, aligned_L2, gw2_images, w4
+        assert np.all(a[:, 4:] != b[:, 4:])  # hs_gap_bound_lhs, hs_gap_bound_rhs
+        assert np.all(np.isfinite(a)) and np.all(a[:, 4] <= a[:, 5])
+
     @pytest.mark.parametrize("argv", [
         ["stability", "converge", "--space", "circle@random", "--sizes", "16,32"],
         ["space", "gen", "--space", "circle@random", "--n", "8"],
@@ -537,14 +571,29 @@ class TestRun:
     def test_import_leaves_csgraph_unloaded(self):
         # The exact triangle check imports scipy.sparse.csgraph on first use;
         # importing the CLI must not pay for it.
-        env = dict(os.environ)
-        src = str(Path(mdslab.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = "import sys, mdslab.cli; print('scipy.sparse.csgraph' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=60)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert fresh_python(code).strip() == "False"
+
+    def test_scipy_special_loaded_only_by_spectral_commands(self, tmp_path):
+        # sphere_spectral imports scipy.special inside the functions that
+        # use it. space gen and mds embed never load it; mds embed does load
+        # scipy.sparse, through the exact triangle check of its input file.
+        code = textwrap.dedent("""
+            import json, sys
+            from mdslab.cli import run
+            seen = lambda: ["scipy.special" in sys.modules, "scipy.sparse" in sys.modules]
+            out = [seen()]
+            assert run(["space", "gen", "--space", "circle", "--n", "8", "--out", "c.csv"]) == 0
+            out.append(seen())
+            assert run(["mds", "embed", "--input", "c.csv", "--m", "2", "--out", "e.csv"]) == 0
+            out.append(seen()[:1])
+            assert run(["sphere", "eigen", "--dim", "1", "--degree", "3",
+                        "--method", "quadrature"]) == 0
+            out.append(seen()[:1])
+            print(json.dumps(out))
+        """)
+        seen = json.loads(fresh_python(code, cwd=tmp_path).splitlines()[-1])
+        assert seen == [[False, False], [False, False], [False], [True]]
 
 
 class TestDeterminismAndClaims:

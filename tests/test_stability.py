@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import (equilateral_triangle, gw_bruteforce, random_metric_space,
                       shortest_path_completion, two_points)
 from mdslab.mds_core import DimensionMismatch, double_center, eigendecompose
-from mdslab.spaces import FiniteSpace, SampleSpec, Sphere, Torus, finite_space_from_matrix, sample
+from mdslab.spaces import (FiniteSpace, SampleSpec, Sphere, Torus, finite_space_from_matrix,
+                           fourth_moment_norm, sample)
 from mdslab.stability import (
     BoundViolated,
     Coupling,
@@ -33,6 +34,7 @@ from mdslab.stability import (
     w4_circle_grid,
     w4_circle_grid_numeric,
 )
+from mdslab.stability import _nearest_map_columns
 
 TWO_PI = 2.0 * math.pi
 
@@ -219,6 +221,18 @@ class TestW4:
         for n in (1, 4, 16, 128):
             assert abs(w4_circle_grid(n) - w4_circle_grid_numeric(n)) <= 1e-6
 
+    def test_torus_column_against_midpoint_rule(self):
+        # order-4 cost of the nearest-point map from the uniform torus:2 to
+        # its n x n grid, by the midpoint rule over 200 cells per grid step
+        n = 4
+        (row,) = convergence_experiment(Torus(2), [n], 4)
+        cells = 200 * n
+        t = (np.arange(cells) + 0.5) * TWO_PI / cells
+        step = TWO_PI / n
+        disp_sq = (((t + step / 2.0) % step) - step / 2.0) ** 2
+        want = float(np.mean((disp_sq[:, None] + disp_sq[None, :]) ** 2)) ** 0.25
+        assert abs(row.w4 - want) <= 1e-4 * want
+
 
 class TestHsGapAndBounds:
     def test_same_space_zero(self, rng):
@@ -378,6 +392,68 @@ class TestEigenPerturbation:
         assert np.allclose(got, nz, atol=1e-12)
 
 
+def explicit_grid_coupling(k: int, n: int, refine: int):
+    """The torus:k grids of refine * n and n points per factor, the
+    nearest-point coupling between them and its order-4 map cost, built
+    explicitly (k = 1 is the circle)."""
+    fine_n = refine * n
+    fine = sample(Torus(k), SampleSpec("grid", fine_n))
+    grid = sample(Torus(k), SampleSpec("grid", n))
+    a = nearest_grid_assignment(fine_n, n)
+    idx = np.meshgrid(*[a] * k, indexing="ij")
+    assign = np.ravel_multi_index([x.ravel() for x in idx], (n,) * k)
+    disp = np.abs(TWO_PI * np.arange(fine_n) / fine_n - TWO_PI * a / n)
+    disp = np.minimum(disp, TWO_PI - disp)
+    disp_sq = sum(x.ravel() for x in np.meshgrid(*[disp**2] * k, indexing="ij"))
+    w4_map = float(fine.w @ disp_sq**2) ** 0.25
+    return fine, grid, coupling_nearest(fine, grid, assign), w4_map
+
+
+def rel_close(got: float, want: float, rel: float = 1e-13) -> bool:
+    return abs(got - want) <= rel * abs(want)
+
+
+@st.composite
+def grid_sizes(draw):
+    """(k, n, refine) with k <= 3, n <= 12, refine <= 4 and at most 1000
+    fine grid points."""
+    k = draw(st.integers(1, 3))
+    cap = round(1000 ** (1.0 / k))
+    n = draw(st.integers(1, min(12, cap)))
+    refine = draw(st.integers(1, min(4, cap // n)))
+    return k, n, refine
+
+
+class TestNearestMapColumns:
+    """The sweep's transport and kernel-gap columns, from circle averages
+    over ``refine`` fine rows, against the generic coupled sums on explicit
+    fine grids."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_sizes())
+    def test_matches_explicit_grids(self, sizes):
+        k, n, refine = sizes
+        fine, grid, coup, w4_map = explicit_grid_coupling(k, n, refine)
+        want = check_transport_bound(fine, grid, coup, w4_map)
+        gap, c_fine, w4_got = _nearest_map_columns(n, refine, k)
+        assert rel_close(gap, want.lhs)
+        assert rel_close(c_fine, fourth_moment_norm(fine))
+        assert rel_close(w4_got, w4_map)
+        assert rel_close(2.0 * c_fine * w4_got + 2.0 * w4_got**2, want.rhs)
+
+    @pytest.mark.parametrize("space,n,refine", [
+        (Sphere(1), 16, 4), (Sphere(1), 12, 3), (Torus(2), 4, 2), (Torus(2), 6, 3),
+        (Torus(3), 4, 2),
+    ], ids=["circle-16-4", "circle-12-3", "torus2-4-2", "torus2-6-3", "torus3-4-2"])
+    def test_rows_match_explicit_bound(self, space, n, refine):
+        k = space.k if isinstance(space, Torus) else 1
+        (row,) = convergence_experiment(space, [n], 2 * k, refine=refine)
+        fine, grid, coup, w4_map = explicit_grid_coupling(k, n, refine)
+        want = check_transport_bound(fine, grid, coup, w4_map)
+        assert rel_close(row.hs_lhs, want.lhs) and rel_close(row.hs_rhs, want.rhs)
+        assert want.ok
+
+
 class TestConvergence:
     def test_circle_rows_decrease(self):
         rows = convergence_experiment(Sphere(1), [16, 32, 64, 128], 2)
@@ -387,7 +463,7 @@ class TestConvergence:
         assert all(b <= a * 1.05 for a, b in zip(gw2, gw2[1:]))
         for r in rows:
             assert r.hs_lhs <= r.hs_rhs
-            assert r.w4 == pytest.approx(w4_circle_grid(r.n))
+            assert r.w4 == w4_circle_grid(r.n)  # the torus factor is exactly 1
 
     def test_limit_map_values(self):
         thetas = TWO_PI * np.arange(8) / 8
@@ -405,7 +481,8 @@ class TestConvergence:
         assert all(0.0 < b <= 0.3 * a for a, b in zip(aligned, aligned[1:]))
         assert aligned[-1] < 0.005
         for r in rows:
-            assert math.isnan(r.w4) and math.isnan(r.hs_lhs) and math.isnan(r.hs_rhs)
+            assert all(math.isfinite(v) for v in (r.w4, r.hs_lhs, r.hs_rhs))
+            assert r.hs_lhs <= r.hs_rhs
 
     def test_circle_odd_m_rounds_up_to_whole_pairs(self):
         rows3 = convergence_experiment(Sphere(1), [16, 32, 64], 3)
