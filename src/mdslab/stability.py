@@ -465,6 +465,7 @@ def convergence_experiment(space, sizes: Sequence[int], m: int,
     additivity gives the torus columns from the same circle averages.
     ``m`` is rounded up to whole degenerate eigenvalue blocks (2k columns
     per odd degree on ``torus:k``): Procrustes cannot align part of a block.
+    Repeated sizes and grids of at most ``m`` points raise ``ValueError``.
     """
     if not (isinstance(space, Torus) or (isinstance(space, Sphere) and space.d == 1)):
         raise UnsupportedSpace(f"no grid convergence reference for {space!r}")
@@ -472,6 +473,13 @@ def convergence_experiment(space, sizes: Sequence[int], m: int,
         raise DimensionMismatch(f"embedding dimension must be >= 1, got {m}")
     if refine < 1:
         raise ValueError(f"refine must be >= 1, got {refine}")
-    block = 2 * space.k if isinstance(space, Torus) else 2
-    m = -(-m // block) * block
-    return [_grid_row(space, int(n), m, refine) for n in sorted(sizes)]
+    k = space.k if isinstance(space, Torus) else 1
+    m = -(-m // (2 * k)) * 2 * k
+    sizes = sorted(int(n) for n in sizes)
+    for prev, n in zip([None] + sizes, sizes):
+        if n == prev:
+            raise ValueError(f"grid size {n} is repeated in the sweep")
+        if n**k <= m:
+            # its positive rank is below m, so embed would pad with zeros
+            raise ValueError(f"grid size {n} gives {n**k} points, need more than m = {m}")
+    return [_grid_row(space, n, m, refine) for n in sizes]

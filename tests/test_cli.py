@@ -17,6 +17,7 @@ import pytest
 import mdslab
 import mdslab.cli
 import mdslab.products
+import mdslab.spaces
 import mdslab.sphere_spectral
 from conftest import equilateral_triangle
 from mdslab.cli import (
@@ -519,6 +520,23 @@ class TestRun:
         assert np.all(a[:, 4:] != b[:, 4:])  # hs_gap_bound_lhs, hs_gap_bound_rhs
         assert np.all(np.isfinite(a)) and np.all(a[:, 4] <= a[:, 5])
 
+    @pytest.mark.parametrize("space,sizes,named", [
+        ("circle", "8,8", "grid size 8 is repeated"),
+        ("circle", "1,4", "grid size 1 gives 1 points"),
+        ("circle", "2,16", "grid size 2 gives 2 points"),
+        ("torus:2", "4,4", "grid size 4 is repeated"),
+        ("torus:2", "1,2", "grid size 1 gives 1 points"),
+        ("torus:2", "2,8", "grid size 2 gives 4 points"),
+    ])
+    def test_converge_degenerate_sizes_exit_2(self, tmp_path, capsys, space, sizes, named):
+        # a repeated size would write its row twice; a grid of at most m
+        # points has positive rank below m, so its embedding is zero-padded
+        out = tmp_path / "conv.csv"
+        assert run(["stability", "converge", "--space", space, "--sizes", sizes,
+                    "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["stability", "converge", "--space", "circle@random", "--sizes", "16,32"],
         ["space", "gen", "--space", "circle@random", "--n", "8"],
@@ -568,16 +586,18 @@ class TestRun:
         assert tables[0] != tables[1]
         assert hashes[0] != hashes[1]
 
-    def test_import_leaves_csgraph_unloaded(self):
-        # The exact triangle check imports scipy.sparse.csgraph on first use;
-        # importing the CLI must not pay for it.
-        code = "import sys, mdslab.cli; print('scipy.sparse.csgraph' in sys.modules)"
-        assert fresh_python(code).strip() == "False"
+    def test_import_leaves_validation_scipy_unloaded(self):
+        # The exact triangle check imports scipy.spatial on first use;
+        # importing the CLI must not pay for it, nor for csgraph.
+        code = ("import sys, mdslab.cli; "
+                "print([m in sys.modules for m in ('scipy.spatial', 'scipy.sparse.csgraph')])")
+        assert fresh_python(code).strip() == "[False, False]"
 
     def test_scipy_special_loaded_only_by_spectral_commands(self, tmp_path):
         # sphere_spectral imports scipy.special inside the functions that
-        # use it. space gen and mds embed never load it; mds embed does load
-        # scipy.sparse, through the exact triangle check of its input file.
+        # use it, so import and space gen never load it. mds embed does,
+        # through scipy.spatial.distance in the exact triangle check of its
+        # input file, which also loads scipy.sparse.
         code = textwrap.dedent("""
             import json, sys
             from mdslab.cli import run
@@ -593,7 +613,30 @@ class TestRun:
             print(json.dumps(out))
         """)
         seen = json.loads(fresh_python(code, cwd=tmp_path).splitlines()[-1])
-        assert seen == [[False, False], [False, False], [False], [True]]
+        assert seen == [[False, False], [False, False], [True], [True]]
+
+    @pytest.mark.parametrize("argv,calls", [
+        (["space", "gen", "--space", "circle", "--n", "8", "--out", "g.csv"], 0),
+        (["stability", "converge", "--sizes", "8,16", "--out", "conv.csv"], 0),
+        (["torus", "check", "--n", "8", "--k", "2", "--trunc", "3", "--pairs", "5"], 0),
+        (["mds", "embed", "--input", "c.csv", "--m", "2", "--out", "e.csv"], 1),
+        (["product", "check", "--factors", "c.csv,c.csv", "--out", "p.csv"], 2),
+    ], ids=["space_gen", "stability_converge", "torus_check", "mds_embed", "product_check"])
+    def test_exact_check_runs_on_external_input_only(self, tmp_path, monkeypatch, argv, calls):
+        # Spaces that are metrics by construction are never re-checked; each
+        # space file read is checked once.
+        monkeypatch.chdir(tmp_path)
+        write_space_csv(equilateral_triangle(), "c.csv")
+        calls_seen = []
+        check = mdslab.spaces._check_triangle
+
+        def counted(D, tol):
+            calls_seen.append(D.shape)
+            check(D, tol)
+
+        monkeypatch.setattr(mdslab.spaces, "_check_triangle", counted)
+        assert run(argv) == 0
+        assert len(calls_seen) == calls
 
 
 class TestDeterminismAndClaims:

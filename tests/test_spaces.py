@@ -130,6 +130,35 @@ class TestFiniteSpaceValidation:
         i, j, k = named_triple(err.value)
         assert D[i, j] > D[i, k] + D[k, j]
 
+    def test_sub_tolerance_chain_accepted(self):
+        # Five collinear points with every unit step shortened by 0.3 tol:
+        # the worst triple (i, i+2, i+1) is off by 0.6 tol, so every triple
+        # holds within tol, though the defects add up to 1.2 tol along the
+        # path from 0 to 4.
+        tol = 1e-12 * 4.0
+        x = np.arange(5.0)
+        D = np.abs(x[:, None] - x[None, :])
+        for i in range(4):
+            D[i, i + 1] = D[i + 1, i] = 1.0 - 0.3 * tol
+        assert not brute_force_violates(D, tol)
+        assert brute_force_violates(D, 0.5 * tol)
+        finite_space_from_matrix(D, np.full(5, 0.2))
+
+    def test_violation_named_through_swapped_rows(self):
+        # For each worst pair (i, k), i < k, the large row difference is
+        # D[k,j] - D[i,j], so the named triple starts from the larger index.
+        D = np.array([[0, 1, 1], [1, 0, 5], [1, 5, 0]], dtype=float)
+        with pytest.raises(TriangleViolation) as err:
+            finite_space_from_matrix(D, [1 / 3] * 3)
+        i, j, k = named_triple(err.value)
+        assert i > k
+        assert D[i, j] > D[i, k] + D[k, j]
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-300, 1.0, 1e300])
+    def test_two_points_pass(self, gap):
+        fs = finite_space_from_matrix([[0.0, gap], [gap, 0.0]], [0.25, 0.75])
+        assert fs.n == 2 and fs.diameter == gap
+
     def test_bad_weights(self):
         with pytest.raises(BadWeights):
             finite_space_from_matrix([[0.0, 1.0], [1.0, 0.0]], [0.7, 0.7])
@@ -440,6 +469,28 @@ def test_exact_check_agrees_with_all_triples_oracle(D):
         i, j, k = named_triple(exc)
         assert D[i, j] > D[i, k] + D[k, j]
     assert rejected == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12), st.data())
+def test_exact_check_accepts_exactly_the_shortest_path_closed(n, data):
+    # Integer matrices scaled by a power of two, so the closure is exact and
+    # every defect is at least the scale, far above tol.
+    D = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        D[i, j] = D[j, i] = data.draw(st.integers(0, 8))
+    if data.draw(st.booleans()):
+        D = shortest_path_completion(D)
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        D[i, j] = D[j, i] = max(0.0, D[i, j] + data.draw(st.integers(-2, 2)))
+    D *= data.draw(st.sampled_from([1.0, 0.25, 2.0**20]))
+    closed = np.array_equal(shortest_path_completion(D), D)
+    try:
+        finite_space_from_matrix(D, np.full(n, 1.0 / n))
+        accepted = True
+    except TriangleViolation:
+        accepted = False
+    assert accepted == closed
 
 
 def _circle_image(n: int, limit: bool):
