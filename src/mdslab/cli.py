@@ -8,8 +8,9 @@ it. The record's hash covers the config JSON and the sha256 of every input
 file, taken before the command runs. ``stability converge --config FILE``
 appends the keys of a JSON object as ``--key=value`` flags, so the file
 overrides the flags it names and passes through the same parser. Exit codes:
-0 success, 2 for validation or usage errors (unwritable output included), 3
-for numerical non-convergence.
+0 success, 2 for validation or usage errors (unwritable output included) and
+for a run too large for memory (``MemoryError``), 3 for numerical
+non-convergence.
 """
 from __future__ import annotations
 
@@ -342,7 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stab = top.add_parser("stability", help="convergence experiments").add_subparsers(dest="sub")
     conv = stab.add_parser("converge", help="grid-size sweep against the limit map")
     conv.add_argument("--space", default="circle")
-    conv.add_argument("--sizes", default="16,32,64,128,256,512")
+    conv.add_argument("--sizes", default="16,32,64,128,256,512",
+                      help="grid points per factor; torus:k grids have n**k points")
     conv.add_argument("--m", type=int, default=2, help="rounded up to whole degenerate blocks")
     conv.add_argument("--refine", type=int, default=4,
                       help="sets the fine grid (refine * n points per factor) of the "
@@ -394,7 +396,7 @@ def run(argv: Sequence[str]) -> int:
         _write_run_record(config, inputs, time.perf_counter() - start)
     except SystemExit as exc:  # argparse: usage errors, --help, --version
         return 2 if isinstance(exc.code, int) and exc.code else 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (ToleranceNotReached, QuadratureNotConverged, NoConvergence) as exc:

@@ -45,8 +45,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 # scipy.special is imported inside the functions that use it: the import
-# alone costs a few tenths of a second, and only the spectral commands
-# and the limit map need it.
+# alone costs a few tenths of a second and about 20 MB, and only the
+# spectral commands and the even-d closed form need it. The odd-d closed
+# form (circle and torus limit maps, odd-d asymptotics) is plain floats.
 
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
@@ -337,14 +338,27 @@ def eigenvalue_closed(d: int, j: int) -> float:
     alternating sign on the circle, ~ j^{-d-1} in general). Up to d = 189
     the symbol overflows only where lambda_j underflows anyway; larger d
     raise ``ValueError``.
-    """
-    from scipy.special import gamma, poch
 
+    At odd d the order m = (d+1)/2 is an integer: Gamma(m) = (m-1)! is
+    exact and correctly rounded to a float, and (j/2)_m is the finite
+    product (j/2 + m-1) ... (j/2), multiplied from the top factor down as
+    scipy's ``poch`` does, so circle and torus runs need no scipy. Up to
+    d = 49 this matches ``gamma`` and ``poch`` bit for bit; above, scipy's
+    ``gamma`` is not correctly rounded and the last bits differ. Even d
+    has half-integer order and uses scipy.special.
+    """
     if not 1 <= d <= 189:
         raise ValueError(f"the closed form covers sphere dimensions 1..189, got {d}")
     if j < 1:
         raise ValueError(f"the closed form needs degree >= 1, got {j}")
-    root = float(gamma((d + 1.0) / 2.0) / poch(j / 2.0, (d + 1.0) / 2.0) / 2.0)
+    if d % 2 == 1:
+        m = (d + 1) // 2
+        rising = math.prod(j / 2.0 + i for i in reversed(range(m)))
+        root = float(math.factorial(m - 1)) / rising / 2.0
+    else:
+        from scipy.special import gamma, poch
+
+        root = float(gamma((d + 1.0) / 2.0) / poch(j / 2.0, (d + 1.0) / 2.0) / 2.0)
     return (1.0 if j % 2 == 1 else -1.0) * root * root
 
 

@@ -537,6 +537,20 @@ class TestRun:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_converge_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a torus:2 row at --sizes 128 needs 2 GiB arrays; numpy's
+        # MemoryError is a usage error, not a traceback
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 GiB for an array with shape "
+                              "(16384, 16384) and data type float64")
+
+        monkeypatch.setattr(mdslab.cli, "convergence_experiment", too_large)
+        out = tmp_path / "conv.csv"
+        assert run(["stability", "converge", "--space", "torus:2", "--sizes", "128",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: MemoryError: Unable to allocate 2.00 GiB")
+        assert not out.exists() and not Path(f"{out}.run.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["stability", "converge", "--space", "circle@random", "--sizes", "16,32"],
         ["space", "gen", "--space", "circle@random", "--n", "8"],
@@ -614,6 +628,33 @@ class TestRun:
         """)
         seen = json.loads(fresh_python(code, cwd=tmp_path).splitlines()[-1])
         assert seen == [[False, False], [False, False], [True], [True]]
+
+    def test_circle_torus_and_odd_asymptotics_load_no_scipy(self, tmp_path):
+        # At odd d the closed form is a factorial over a finite product, so
+        # the circle and torus limit maps and odd-d scans need no scipy;
+        # even d has half-integer order and loads scipy.special.
+        code = textwrap.dedent("""
+            import json, sys
+            from mdslab.cli import run
+            scipy = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            for argv in (
+                ["space", "gen", "--space", "circle", "--n", "8", "--out", "c.csv"],
+                ["stability", "converge", "--sizes", "8,16", "--out", "conv.csv"],
+                ["stability", "converge", "--space", "torus:2", "--sizes", "4,8",
+                 "--out", "torus.csv"],
+                ["torus", "check", "--n", "8", "--k", "2", "--trunc", "3", "--pairs", "5"],
+                ["sphere", "asymptotics", "--dim", "3", "--nmin", "1", "--nmax", "20",
+                 "--out", "a3.csv"],
+            ):
+                assert run(argv) == 0
+            out = [scipy()]
+            assert run(["sphere", "asymptotics", "--dim", "2", "--nmin", "1", "--nmax", "20",
+                        "--out", "a2.csv"]) == 0
+            out.append("scipy.special" in sys.modules)
+            print(json.dumps(out))
+        """)
+        seen = json.loads(fresh_python(code, cwd=tmp_path).splitlines()[-1])
+        assert seen == [[], True]
 
     @pytest.mark.parametrize("argv,calls", [
         (["space", "gen", "--space", "circle", "--n", "8", "--out", "g.csv"], 0),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gamma, gammaln, poch
 
 import mdslab.sphere_spectral
 from mdslab.mds_core import spectral_embedding
@@ -338,6 +338,32 @@ class TestClosedForm:
                     root = mpmath.gamma(half) * mpmath.gamma(x) / (2 * mpmath.gamma(x + half))
                     exact = float((-1) ** (j + 1) * root**2)
                     assert eigenvalue_closed(d, j) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(0, 24).map(lambda k: 2 * k + 1), j=st.integers(1, 10**5))
+    def test_odd_dimension_product_matches_scipy_bits(self, d, j):
+        # At odd d the finite product and factorial replace scipy's poch and
+        # gamma; up to d = 49 the bytes are those of the scipy expression.
+        m = (d + 1.0) / 2.0
+        root = float(gamma(m) / poch(j / 2.0, m) / 2.0)
+        expected = (1.0 if j % 2 == 1 else -1.0) * root * root
+        assert eigenvalue_closed(d, j).hex() == expected.hex()
+
+    def test_mpmath_gamma_ratio_large_odd_dimension(self):
+        # Above d = 49 the correctly rounded factorial differs from scipy's
+        # gamma in the last bits; both stay within 1e-12 of a 40-digit value.
+        with mpmath.workdps(40):
+            for d in range(51, 190, 2):
+                half = mpmath.mpf(d + 1) / 2
+                for j in (1, 2, 3, 10, 333, 2001):
+                    x = mpmath.mpf(j) / 2
+                    root = mpmath.gamma(half) * mpmath.gamma(x) / (2 * mpmath.gamma(x + half))
+                    exact = float((-1) ** (j + 1) * root**2)
+                    assert eigenvalue_closed(d, j) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_overflowed_symbol_keeps_sign(self):
+        # (j/2)_95 overflows at j = 10^6, so lambda is a zero with the even-degree sign
+        assert eigenvalue_closed(189, 10**6).hex() == (-0.0).hex()
 
     def test_circle_first_degree_exact(self):
         assert eigenvalue_closed(1, 1) == 1.0
