@@ -47,7 +47,6 @@ from .stability import (
     AlignmentResult,
     Coupling,
     convergence_experiment,
-    coupling_identity,
     coupling_nearest,
     eigen_perturbation_check,
     gw_cost,

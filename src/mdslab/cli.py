@@ -68,7 +68,7 @@ CLAIMS = {
     "mds krein": "signed spectral decomposition reconstructs squared distances exactly through the indefinite pair map",
     "sphere eigen": "sphere kernel eigenvalues: quadrature matches the closed form lambda_j, the series gives c_d * lambda_j with c_d = sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2)); odd degrees are positive",
     "sphere asymptotics": "the ground-truth positive eigenvalues lambda_{2n+1} decay like n^(-d-1): n^(d+1) lambda_{2n+1} tends to Gamma((d+1)/2)^2 / 4, with the series summand peaking at s = Theta(n^2)",
-    "stability converge": "circle and flat-torus grid embeddings converge to the analytic limit map after orthogonal alignment; every row adds a coupling-wise kernel-gap bound against a refined grid",
+    "stability converge": "circle and flat-torus grid embeddings converge to the analytic limit map after orthogonal alignment; a torus:k row is the n-point circle embedding once per factor, so its aligned residual is sqrt(k) times the circle's; every row adds a coupling-wise kernel-gap bound against a refined grid",
     "product check": "product spectra merge from factor spectra and squared embedding distances add across factors",
     "torus check": "flat torus embedding satisfies the snowflake identity pi * sum of factor distances",
 }
@@ -344,7 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
     conv = stab.add_parser("converge", help="grid-size sweep against the limit map")
     conv.add_argument("--space", default="circle")
     conv.add_argument("--sizes", default="16,32,64,128,256,512",
-                      help="grid points per factor; torus:k grids have n**k points")
+                      help="grid points per factor; every row, torus:k included, decomposes "
+                           "one n-point circle grid, and n must be at least 2 (m // k) - 1")
     conv.add_argument("--m", type=int, default=2, help="rounded up to whole degenerate blocks")
     conv.add_argument("--refine", type=int, default=4,
                       help="sets the fine grid (refine * n points per factor) of the "

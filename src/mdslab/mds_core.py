@@ -103,8 +103,9 @@ def _order_degenerate_blocks(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         while stop < n and vals[stop] == vals[start]:
             stop += 1
         if stop - start > 1:
-            cols = sorted(range(start, stop), key=lambda c: tuple(out[:, c]))
-            out[:, start:stop] = out[:, cols]
+            # stable, row 0 the primary key, and -0.0 == 0.0, as a tuple sort
+            cols = np.lexsort(out[::-1, start:stop])
+            out[:, start:stop] = out[:, start:stop][:, cols]
         start = stop
     return out
 

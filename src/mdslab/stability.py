@@ -5,14 +5,14 @@ bounds on the order-p Gromov-Kantorovich distance), the Hilbert-Schmidt
 kernel gap and its two distortion bounds, orthogonal Procrustes alignment,
 eigenvalue perturbation checks, and the grid convergence experiment that
 drives all of it end to end: circle and flat-torus grid embeddings both
-align to the analytic limit map, and every row carries a kernel-gap bound
-instance whose columns come from a few circle averages (orbit reduction
-and product additivity), not from an explicit fine grid.
+align to the analytic limit map, each row from one n-point circle grid and
+a few circle averages (orbit reduction and product additivity), with no
+n^k-point torus grid and no fine grid.
 
 Distortion costs are never exact optima: the quadratic assignment underneath
 is intractable, and every bound used here is coupling-wise, so explicit
-couplings (identity, independent product, deterministic nearest-point maps)
-are both sufficient and honest. Outputs are labeled as upper bounds.
+couplings (independent product, deterministic nearest-point maps) are both
+sufficient and honest. Outputs are labeled as upper bounds.
 """
 from __future__ import annotations
 
@@ -30,8 +30,6 @@ from .spaces import (
     Torus,
     SampleSpec,
     _circle_arc,
-    _dist_sq_matrix,
-    _metric_space,
     fourth_moment_norm,
     sample,
 )
@@ -87,11 +85,6 @@ def make_coupling(G: np.ndarray, A: FiniteSpace, B: FiniteSpace) -> Coupling:
     G = G.copy()
     G.setflags(write=False)
     return Coupling(G=G)
-
-
-def coupling_identity(A: FiniteSpace) -> Coupling:
-    """Diagonal coupling of a space with itself."""
-    return make_coupling(np.diag(A.w), A, A)
 
 
 def coupling_product(A: FiniteSpace, B: FiniteSpace) -> Coupling:
@@ -362,14 +355,6 @@ def circle_limit_map(thetas: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _image_space(points: np.ndarray, w: np.ndarray) -> FiniteSpace:
-    """Euclidean distances between embedded points: a metric by construction."""
-    D = np.sqrt(_dist_sq_matrix(points))
-    D = (D + D.T) / 2.0
-    np.fill_diagonal(D, 0.0)
-    return _metric_space(D, w)
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     n: int
@@ -378,16 +363,6 @@ class ConvergenceRow:
     w4: float
     hs_lhs: float
     hs_rhs: float
-
-
-def _compare_to_reference(ref: np.ndarray, E: np.ndarray,
-                          w: np.ndarray) -> tuple[float, float]:
-    """Aligned L^2(w) residual of ``E`` against ``ref``, and the order-2
-    distortion between their Euclidean images under the identity coupling."""
-    aligned = procrustes(ref, E, w).residual
-    image_fin = _image_space(E, w)
-    image_ref = _image_space(ref, w)
-    return aligned, gw_cost(coupling_identity(image_fin), image_fin, image_ref, 2)
 
 
 def _sum_moment(k: int, x: np.ndarray) -> float:
@@ -422,25 +397,41 @@ def _nearest_map_columns(n: int, refine: int, k: int) -> tuple[float, float, flo
             _sum_moment(k, disp_sq) ** 0.25)
 
 
-def _grid_row(space, n: int, m: int, refine: int) -> ConvergenceRow:
-    """One sweep row on the circle or ``torus:k`` grid of n points per factor,
-    against the analytic limit map; on the torus (product additivity) that is
-    one circle map of m // k columns per factor, in the grid's left-major
-    point order. The transport and kernel-gap columns come from
-    :func:`_nearest_map_columns` (orbit reduction and product additivity),
-    so no fine grid is built."""
-    k = space.k if isinstance(space, Torus) else 1
-    grid = sample(space, SampleSpec(mode="grid", n=n))
-    E = embed(eigendecompose(double_center(grid)), m)
-    thetas = TWO_PI * np.arange(n) / n
-    ref = np.hstack([circle_limit_map(a.ravel(), m // k)
-                     for a in np.meshgrid(*[thetas] * k, indexing="ij")])
-    aligned, gw2 = _compare_to_reference(ref, E, grid.w)
+def _image_gap(E: np.ndarray, ref: np.ndarray, k: int) -> float:
+    """Order-2 identity-coupling distortion between the images of the
+    ``torus:k`` grid under ``E`` and ``ref`` per circle factor. The maps are
+    equivariant under the grid group, so it is a mean over the pairs (0, y),
+    whose squared image distances add up over factors; it runs in chunks of
+    the first factor, about 2^20 floats each."""
+    a = np.sum((E - E[0]) ** 2, axis=1)
+    b = np.sum((ref - ref[0]) ** 2, axis=1)
+    A, B = np.zeros(1), np.zeros(1)
+    for _ in range(k - 1):
+        A, B = np.add.outer(A, a).ravel(), np.add.outer(B, b).ravel()
+    step = max(1, (1 << 20) // A.size)
+    total = 0.0
+    for s in range(0, a.size, step):
+        diff = np.sqrt(np.add.outer(a[s:s + step], A)) - np.sqrt(np.add.outer(b[s:s + step], B))
+        total += float(np.sum(diff**2))
+    return math.sqrt(total / a.size**k)
+
+
+def _grid_row(k: int, n: int, m: int, refine: int) -> ConvergenceRow:
+    """One sweep row on the ``torus:k`` grid of n points per factor (k = 1 is
+    the circle) from the n-point circle embedding at ``m // k`` columns: the
+    centered torus kernel is the sum of the lifted circle kernels, and under
+    the product measure the factors' cross-covariance is zero, so the
+    Procrustes rotation is block diagonal and the aligned residual is
+    sqrt(k) times the circle's."""
+    mc = m // k
+    circle = sample(Sphere(1), SampleSpec(mode="grid", n=n))
+    E = embed(eigendecompose(double_center(circle)), mc)
+    ref = circle_limit_map(TWO_PI * np.arange(n) / n, mc)
     gap, c_fine, w4_map = _nearest_map_columns(n, refine, k)
     return ConvergenceRow(
         n=n,
-        aligned_l2=aligned,
-        gw2_images=gw2,
+        aligned_l2=math.sqrt(k) * procrustes(ref, E, circle.w).residual,
+        gw2_images=_image_gap(E, ref, k),
         # W_4 to the uniform torus: h (k/80 + k(k-1)/144)^(1/4), h = 2 pi / n,
         # since the Voronoi map is optimal (constant dual potential by
         # symmetry); the factor is exactly 1 on the circle.
@@ -460,12 +451,12 @@ def convergence_experiment(space, sizes: Sequence[int], m: int,
     images under the grid coupling, the exact order-4 transport distance to
     the uniform measure, and one kernel-gap bound instance for the
     nearest-point coupling of a ``refine`` times finer grid (per factor).
-    Those last columns need no fine grid: a rotation by one coarse step
-    reduces the circle's coupled means to ``refine`` fine rows, and product
-    additivity gives the torus columns from the same circle averages.
+    Every row decomposes one n-point circle grid, on ``torus:k`` too
+    (product additivity and orbit reduction), and builds no fine grid.
     ``m`` is rounded up to whole degenerate eigenvalue blocks (2k columns
     per odd degree on ``torus:k``): Procrustes cannot align part of a block.
-    Repeated sizes and grids of at most ``m`` points raise ``ValueError``.
+    Repeated sizes raise ``ValueError``, and so does every n < 2 (m // k) - 1,
+    whose top m // k circle eigenvalues are not whole positive pairs.
     """
     if not (isinstance(space, Torus) or (isinstance(space, Sphere) and space.d == 1)):
         raise UnsupportedSpace(f"no grid convergence reference for {space!r}")
@@ -475,11 +466,12 @@ def convergence_experiment(space, sizes: Sequence[int], m: int,
         raise ValueError(f"refine must be >= 1, got {refine}")
     k = space.k if isinstance(space, Torus) else 1
     m = -(-m // (2 * k)) * 2 * k
+    least = 2 * (m // k) - 1
     sizes = sorted(int(n) for n in sizes)
     for prev, n in zip([None] + sizes, sizes):
         if n == prev:
             raise ValueError(f"grid size {n} is repeated in the sweep")
-        if n**k <= m:
-            # its positive rank is below m, so embed would pad with zeros
-            raise ValueError(f"grid size {n} gives {n**k} points, need more than m = {m}")
-    return [_grid_row(space, n, m, refine) for n in sizes]
+        if n < least:
+            raise ValueError(f"grid size {n} gives {n**k} points, but m = {m} needs "
+                             f"n >= {least} for whole positive circle blocks")
+    return [_grid_row(k, n, m, refine) for n in sizes]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mdslab.spaces import FiniteSpace, finite_space_from_matrix
+from mdslab.stability import Coupling, make_coupling
 
 
 def equilateral_triangle(side: float = 1.0) -> FiniteSpace:
@@ -49,6 +50,11 @@ def random_metric_space(rng: np.random.Generator, n: int, uniform: bool = True) 
         w = rng.uniform(0.5, 1.5, size=n)
         w /= w.sum()
     return finite_space_from_matrix(D, w)
+
+
+def coupling_identity(A: FiniteSpace) -> Coupling:
+    """Diagonal coupling of a space with itself."""
+    return make_coupling(np.diag(A.w), A, A)
 
 
 def gw_bruteforce(A: FiniteSpace, B: FiniteSpace, p: int) -> float:

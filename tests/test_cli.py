@@ -527,19 +527,35 @@ class TestRun:
         ("torus:2", "4,4", "grid size 4 is repeated"),
         ("torus:2", "1,2", "grid size 1 gives 1 points"),
         ("torus:2", "2,8", "grid size 2 gives 4 points"),
+        ("torus:3", "2", "grid size 2 gives 8 points"),
     ])
     def test_converge_degenerate_sizes_exit_2(self, tmp_path, capsys, space, sizes, named):
-        # a repeated size would write its row twice; a grid of at most m
-        # points has positive rank below m, so its embedding is zero-padded
+        # a repeated size would write its row twice; below n = 2 (m // k) - 1
+        # the top m // k circle eigenvalues are not whole positive pairs, so
+        # the embedding is zero-padded or cut inside a block
         out = tmp_path / "conv.csv"
         assert run(["stability", "converge", "--space", space, "--sizes", sizes,
                     "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_converge_sizes_below_block_rule_exit_2(self, tmp_path, capsys):
+        # m = 4 needs the degree-3 pair whole: n >= 7. Sizes 5 and 6 have
+        # more than m points, and their rows (aligned_L2 0.475, 0.085, then
+        # 0.166 at n = 7) were not monotone.
+        out = tmp_path / "conv.csv"
+        for sizes, n in (("5,6,7", 5), ("6,7", 6)):
+            assert run(["stability", "converge", "--sizes", sizes, "--m", "4",
+                        "--out", str(out)]) == 2
+            assert (f"grid size {n} gives {n} points, but m = 4 needs n >= 7"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+        assert run(["stability", "converge", "--sizes", "7,14", "--m", "4",
+                    "--out", str(out)]) == 0
+
     def test_converge_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
-        # a torus:2 row at --sizes 128 needs 2 GiB arrays; numpy's
-        # MemoryError is a usage error, not a traceback
+        # numpy's MemoryError (an allocation too large for the machine) is
+        # a usage error, not a traceback
         def too_large(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.00 GiB for an array with shape "
                               "(16384, 16384) and data type float64")
@@ -655,6 +671,24 @@ class TestRun:
         """)
         seen = json.loads(fresh_python(code, cwd=tmp_path).splitlines()[-1])
         assert seen == [[], True]
+
+    def test_default_torus_sweep_runs_without_scipy(self, tmp_path):
+        # Every row decomposes one n-point circle grid, so the default sizes
+        # up to 512 (262,144 torus points) finish.
+        code = textwrap.dedent("""
+            import json, sys, time
+            from mdslab.cli import run
+            start = time.perf_counter()
+            code = run(["stability", "converge", "--space", "torus:2", "--out", "torus.csv"])
+            scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            print(json.dumps([code, time.perf_counter() - start, scipy]))
+        """)
+        code, seconds, scipy = json.loads(fresh_python(code, cwd=tmp_path).splitlines()[-1])
+        assert code == 0 and scipy == []
+        rows = np.loadtxt(tmp_path / "torus.csv", delimiter=",", skiprows=1)
+        assert rows[:, 0].tolist() == [16, 32, 64, 128, 256, 512]
+        assert np.all(rows[:-1, 1] > rows[1:, 1]) and np.all(rows[:, 4] <= rows[:, 5])
+        assert seconds < 10.0
 
     @pytest.mark.parametrize("argv,calls", [
         (["space", "gen", "--space", "circle", "--n", "8", "--out", "g.csv"], 0),

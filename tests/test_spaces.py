@@ -37,7 +37,9 @@ from mdslab.spaces import (
     Torus,
     TriangleViolation,
     _circle_arc,
+    _dist_sq_matrix,
     _fmt,
+    _metric_space,
     _read_csv,
     distance,
     finite_space_from_matrix,
@@ -46,7 +48,7 @@ from mdslab.spaces import (
     sample,
     write_space_csv,
 )
-from mdslab.stability import _image_space, circle_limit_map
+from mdslab.stability import circle_limit_map
 
 
 def named_triple(exc: TriangleViolation) -> tuple[int, int, int]:
@@ -491,6 +493,14 @@ def test_exact_check_accepts_exactly_the_shortest_path_closed(n, data):
     except TriangleViolation:
         accepted = False
     assert accepted == closed
+
+
+def _image_space(points: np.ndarray, w: np.ndarray) -> FiniteSpace:
+    """Euclidean distances between embedded points: a metric by construction."""
+    D = np.sqrt(_dist_sq_matrix(points))
+    D = (D + D.T) / 2.0
+    np.fill_diagonal(D, 0.0)
+    return _metric_space(D, w)
 
 
 def _circle_image(n: int, limit: bool):

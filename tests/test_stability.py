@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (equilateral_triangle, gw_bruteforce, random_metric_space,
-                      shortest_path_completion, two_points)
-from mdslab.mds_core import DimensionMismatch, double_center, eigendecompose
+import mdslab.stability
+from conftest import (coupling_identity, equilateral_triangle, gw_bruteforce,
+                      random_metric_space, shortest_path_completion, two_points)
+from mdslab.mds_core import DimensionMismatch, double_center, eigendecompose, embed
 from mdslab.spaces import (FiniteSpace, SampleSpec, Sphere, Torus, finite_space_from_matrix,
                            fourth_moment_norm, sample)
 from mdslab.stability import (
@@ -22,7 +23,6 @@ from mdslab.stability import (
     check_transport_bound,
     circle_limit_map,
     convergence_experiment,
-    coupling_identity,
     coupling_nearest,
     coupling_product,
     eigen_perturbation_check,
@@ -500,3 +500,69 @@ class TestConvergence:
     def test_unsupported_space(self):
         with pytest.raises(UnsupportedSpace):
             convergence_experiment(Sphere(2), [8, 16], 2)
+
+
+def explicit_grid_row(k: int, n: int, m: int) -> tuple[float, float]:
+    """Aligned residual and full-pair image distortion of the explicit
+    ``torus:k`` grid embedding (k = 1 is the circle) against the limit map,
+    with one circle map of m // k columns per factor in left-major order."""
+    grid = sample(Torus(k), SampleSpec("grid", n))
+    E = embed(eigendecompose(double_center(grid)), m)
+    thetas = TWO_PI * np.arange(n) / n
+    ref = np.hstack([circle_limit_map(a.ravel(), m // k)
+                     for a in np.meshgrid(*[thetas] * k, indexing="ij")])
+    image = [np.sqrt(np.sum((P[:, None, :] - P[None, :, :]) ** 2, axis=2)) for P in (E, ref)]
+    gw2 = math.sqrt(float(grid.w @ (image[0] - image[1]) ** 2 @ grid.w))
+    return procrustes(ref, E, grid.w).residual, gw2
+
+
+class TestRowsFromOneCircle:
+    """Every sweep row comes from one n-point circle decomposition; the
+    explicit n^k-point grid is the oracle."""
+
+    @pytest.mark.parametrize("k,m,sizes", [
+        (1, 2, range(3, 33)), (1, 4, range(7, 33)), (1, 6, range(11, 25)),
+        (2, 4, range(3, 17)), (2, 8, range(7, 17)), (3, 6, range(3, 7)),
+    ], ids=["circle-m2", "circle-m4", "circle-m6", "torus2-m4", "torus2-m8", "torus3-m6"])
+    def test_matches_explicit_grid(self, k, m, sizes):
+        space = Torus(k) if k > 1 else Sphere(1)
+        rows = convergence_experiment(space, list(sizes), m)
+        for n, row in zip(sizes, rows):
+            aligned, gw2 = explicit_grid_row(k, n, m)
+            assert rel_close(row.aligned_l2, aligned, 1e-12), (n, row.aligned_l2, aligned)
+            assert rel_close(row.gw2_images, gw2, 1e-12), (n, row.gw2_images, gw2)
+
+    def test_samples_only_the_circle(self, monkeypatch):
+        seen = []
+
+        def counted(space, spec):
+            seen.append((space, spec.n))
+            return sample(space, spec)
+
+        monkeypatch.setattr(mdslab.stability, "sample", counted)
+        for space in (Sphere(1), Torus(2), Torus(3)):
+            convergence_experiment(space, [4, 8], 2)
+        assert seen == [(Sphere(1), 4), (Sphere(1), 8)] * 3
+
+    def test_image_gap_chunks_agree(self):
+        # torus:3 at n = 128 has 2^21 points, so the sum runs in two chunks
+        (row,) = convergence_experiment(Torus(3), [128], 6)
+        E = embed(eigendecompose(double_center(sample(Sphere(1), SampleSpec("grid", 128)))), 2)
+        ref = circle_limit_map(TWO_PI * np.arange(128) / 128, 2)
+        a, b = (np.sum((P - P[0]) ** 2, axis=1) for P in (E, ref))
+        grids = [np.meshgrid(*[x] * 3, indexing="ij") for x in (a, b)]
+        A, B = (sum(g) for g in grids)
+        assert rel_close(row.gw2_images, math.sqrt(float(np.mean((np.sqrt(A) - np.sqrt(B)) ** 2))),
+                         1e-12)
+
+    @pytest.mark.parametrize("mc", [2, 4, 6, 8])
+    def test_block_rule_matches_spectrum(self, mc):
+        # the sweep's guard: the top mc circle eigenvalues are whole positive
+        # pairs, split from the next one, exactly when n >= 2 mc - 1
+        for n in range(1, 40):
+            vals = eigendecompose(double_center(sample(Sphere(1), SampleSpec("grid", n))))
+            v = np.concatenate([vals.eigenvalues, np.zeros(mc + 1)])
+            whole = bool(np.all(v[:mc] > 0.0)
+                         and np.allclose(v[0:mc:2], v[1:mc:2], rtol=1e-9, atol=0.0)
+                         and v[mc] < v[mc - 1] * (1.0 - 1e-9))
+            assert whole == (n >= 2 * mc - 1), n
