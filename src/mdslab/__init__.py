@@ -15,9 +15,7 @@ from .spaces import (
     SampleSpec,
     Snowflake,
     Sphere,
-    ProductSpace,
     Torus,
-    distance,
     finite_space_from_matrix,
     fourth_moment_norm,
     sample,

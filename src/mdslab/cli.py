@@ -170,13 +170,19 @@ def parse_space(spec: str) -> AnalyticSpace:
 def _config_file_flags(path: str, command: str) -> list[str]:
     """The keys of a JSON config file as ``--key=value`` flags (the ``=`` keeps
     a value that starts with ``-`` attached). A ``command`` key, as run
-    records carry, must name the command being run."""
+    records carry, must name the command being run. Every value must be a
+    JSON string or number: ``null``, booleans, lists and objects have no
+    flag spelling."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} does not hold a JSON object")
     if data.pop("command", command) != command:
         raise ConfigError(f"config file {path!r} is not for {command!r}")
+    for key, value in data.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ConfigError(f"config file {path!r}: key {key!r} holds {json.dumps(value)}, "
+                              "expected a string or a number")
     return [f"--{key}={value}" for key, value in data.items()]
 
 

@@ -53,16 +53,22 @@ def double_center(space: FiniteSpace) -> CenteredOperator:
 
     K_T subtracts weighted row and column averages and adds back the grand
     average; S = W^{1/2} K_T W^{1/2} is symmetric and shares the spectrum of
-    the centered operator on L^2(mu_n).
+    the centered operator on L^2(mu_n). The steps run in place on one
+    n x n array, in the order of the plain expression, so the bits match it.
     """
-    K = -0.5 * space.D**2
+    K = space.D**2
+    K *= -0.5
     w = space.w
     r = K @ w
     g = float(w @ r)
-    KT = K - r[:, None] - r[None, :] + g
+    K -= r[:, None]
+    K -= r[None, :]
+    K += g
     sq = np.sqrt(w)
-    S = KT * sq[:, None] * sq[None, :]
-    S = (S + S.T) / 2.0
+    K *= sq[:, None]
+    K *= sq[None, :]
+    S = K + K.T
+    S /= 2.0
     S.setflags(write=False)
     return CenteredOperator(S=S, w=w)
 

@@ -2,9 +2,9 @@
 
 Two representations live here: ``FiniteSpace`` (an explicit n-point distance
 matrix with probability weights) and a small family of analytic spaces
-(spheres with geodesic distance, snowflake transforms d -> d**alpha, metric
-products, flat tori) that can be measured pointwise or sampled down to a
-``FiniteSpace``.
+(spheres with geodesic distance, snowflake transforms d -> d**alpha, flat
+tori), each metric written once, in the sampler that draws it down to a
+``FiniteSpace``. Products of finite spaces are built in ``products``.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 WEIGHT_SUM_TOL = 1e-12
-UNIT_NORM_TOL = 1e-10
 
 
 class SpaceValidationError(ValueError):
@@ -45,10 +44,6 @@ class TriangleViolation(SpaceValidationError):
 
 
 class BadWeights(SpaceValidationError):
-    pass
-
-
-class PointOffManifold(SpaceValidationError):
     pass
 
 
@@ -204,14 +199,6 @@ class Snowflake:
 
 
 @dataclass(frozen=True)
-class ProductSpace:
-    """Metric product: distance is the root of the sum of squared factor distances."""
-
-    left: "AnalyticSpace"
-    right: "AnalyticSpace"
-
-
-@dataclass(frozen=True)
 class Torus:
     """Flat k-torus: k circle factors under the product metric."""
 
@@ -222,7 +209,7 @@ class Torus:
             raise ValueError(f"torus factor count must be >= 1, got {self.k}")
 
 
-AnalyticSpace = Union[Sphere, Snowflake, ProductSpace, Torus]
+AnalyticSpace = Union[Sphere, Snowflake, Torus]
 
 
 def _circle_arc(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray | float:
@@ -232,57 +219,12 @@ def _circle_arc(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray | fl
     return np.minimum(delta, TWO_PI - delta)
 
 
-def _sphere_point(space: Sphere, x: Sequence[float]) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape != (space.d + 1,):
-        raise PointOffManifold(
-            f"sphere({space.d}) points live in R^{space.d + 1}, got shape {v.shape}"
-        )
-    if not np.isfinite(v).all():
-        raise PointOffManifold(f"point {v!r} has a non-finite coordinate")
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
-        raise PointOffManifold(f"point has norm {np.linalg.norm(v)!r}, expected 1")
-    return v
-
-
-def distance(space: AnalyticSpace, x, y) -> float:
-    """Distance between two points of an analytic space.
-
-    Point formats: sphere(d) takes unit vectors in R^{d+1}; snowflake takes
-    base-space points; product takes (left, right) pairs; torus(k) takes
-    length-k vectors of any finite angles. A non-finite coordinate raises
-    :class:`PointOffManifold`.
-    """
-    if isinstance(space, Sphere):
-        xv = _sphere_point(space, x)
-        yv = _sphere_point(space, y)
-        if np.array_equal(xv, yv):
-            return 0.0
-        return float(np.arccos(np.clip(np.dot(xv, yv), -1.0, 1.0)))
-    if isinstance(space, Snowflake):
-        return distance(space.base, x, y) ** space.alpha
-    if isinstance(space, ProductSpace):
-        dl = distance(space.left, x[0], y[0])
-        dr = distance(space.right, x[1], y[1])
-        return float(math.hypot(dl, dr))
-    if isinstance(space, Torus):
-        xa = np.asarray(x, dtype=float)
-        ya = np.asarray(y, dtype=float)
-        if xa.shape != (space.k,) or ya.shape != (space.k,):
-            raise PointOffManifold(f"torus({space.k}) points are length-{space.k} angle vectors")
-        if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
-            raise PointOffManifold(f"torus points {xa!r}, {ya!r} have a non-finite angle")
-        arcs = _circle_arc(xa % TWO_PI, ya % TWO_PI)
-        return float(np.sqrt(np.sum(arcs**2)))
-    raise TypeError(f"unknown analytic space {space!r}")
-
-
 @dataclass(frozen=True)
 class SampleSpec:
     """How to draw a finite sample: deterministic grid or seeded uniform draws.
 
-    For products and tori, ``n`` counts points per factor in grid mode and
-    total points in uniform_random mode.
+    For tori, ``n`` counts points per circle factor in grid mode and total
+    points in uniform_random mode.
     """
 
     mode: str
@@ -314,16 +256,10 @@ def _pairwise(space: AnalyticSpace, mode: str, n: int, rng: np.random.Generator)
         return D
     if isinstance(space, Snowflake):
         return _pairwise(space.base, mode, n, rng) ** space.alpha
-    if isinstance(space, ProductSpace):
-        DL = _pairwise(space.left, mode, n, rng)
-        DR = _pairwise(space.right, mode, n, rng)
-        return _combine(DL, DR, grid=(mode == "grid"))
     if isinstance(space, Torus):
-        theta_shape_circle = Sphere(1)
-        D = _pairwise(theta_shape_circle, mode, n, rng)
+        D = _pairwise(Sphere(1), mode, n, rng)
         for _ in range(space.k - 1):
-            Df = _pairwise(theta_shape_circle, mode, n, rng)
-            D = _combine(D, Df, grid=(mode == "grid"))
+            D = _combine(D, _pairwise(Sphere(1), mode, n, rng), grid=(mode == "grid"))
         return D
     raise TypeError(f"unknown analytic space {space!r}")
 
@@ -353,7 +289,7 @@ def sample(space: AnalyticSpace, spec: SampleSpec) -> FiniteSpace:
     """Sample an analytic space down to a uniformly weighted ``FiniteSpace``.
 
     Grid mode is deterministic (seed-independent): the circle grid sits at
-    angles 2*pi*i/n and product grids are Cartesian products of factor grids.
+    angles 2*pi*i/n and torus grids are Cartesian products of circle grids.
     uniform_random draws are reproducible from the seed; sphere draws are
     normalized standard Gaussian vectors, which makes the law exactly
     rotation invariant.

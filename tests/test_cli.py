@@ -158,10 +158,11 @@ class TestConfig:
         ({"command": "stability converge", "space": "circle", "sizes": [8, 16], "m": 2}, 2),
         ({"command": "stability converge", "space": "circle", "sizes": [8, 16], "m": 2,
           "p": None, "tol": None, "seed": None, "refine": 4, "out": "file.csv"}, 2),
+        ({"command": "stability converge", "out": None, "sizes": "8,16"}, 2),
         ({"command": "space gen", "space": "circle"}, 2),
         (["stability converge"], 2),
     ], ids=["no_out", "no_sizes", "no_space", "m_string", "sizes_list", "old_nine_key_record",
-            "other_command", "not_an_object"])
+            "out_null", "other_command", "not_an_object"])
     def test_config_file_runs_or_exits_2(self, tmp_path, monkeypatch, capsys, data, code):
         # the file overrides the flags it names; the rest keep their command-line values
         monkeypatch.chdir(tmp_path)
@@ -171,6 +172,7 @@ class TestConfig:
         if code:
             assert "error" in capsys.readouterr().err
             assert not list(tmp_path.glob("*.csv"))
+            assert not (tmp_path / "None").exists()
             return
         config = read_record(tmp_path / data.get("out", "flags.csv"))["config"]
         assert config == {"command": "stability converge", "space": "circle", "sizes": "8,16",

@@ -69,6 +69,19 @@ class TestDoubleCenter:
         Tbar = P @ Kbar @ P
         assert np.allclose(op.S, Tbar, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [1, 2, 16, 97])
+    def test_bit_identical_to_plain_expression(self, rng, n):
+        fs = random_metric_space(rng, n, uniform=False)
+        K = -0.5 * fs.D**2
+        r = K @ fs.w
+        g = float(fs.w @ r)
+        sq = np.sqrt(fs.w)
+        S = (K - r[:, None] - r[None, :] + g) * sq[:, None] * sq[None, :]
+        S = (S + S.T) / 2.0
+        op = double_center(fs)
+        assert np.array_equal(op.S, S)
+        assert not op.S.flags.writeable
+
 class TestEigendecompose:
     def test_triangle_counts(self):
         res = spectral_embedding(equilateral_triangle())

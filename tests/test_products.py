@@ -136,10 +136,6 @@ class TestAdditivity:
         if nz.size:
             assert np.max(np.abs(nz - np.sort(pred.eigenvalues))) <= 1e-12 * scale
 
-    def test_tol_assertion(self, rng):
-        A = random_metric_space(rng, 4)
-        with pytest.raises(AssertionError):
-            verify_product_embedding(*factor_and_product_spectra(A, A), tol=0.0)
 
 class TestTorus:
     def test_small_torus_identity(self):

@@ -1,4 +1,4 @@
-"""Spaces: validation, analytic distances, sampling, moments, CSV round-trip."""
+"""Spaces: validation, circle arcs, sampling, moments, CSV round-trip."""
 from __future__ import annotations
 
 import itertools
@@ -29,8 +29,6 @@ from mdslab.spaces import (
     NegativeDistance,
     NonFiniteValue,
     NonzeroDiagonal,
-    PointOffManifold,
-    ProductSpace,
     SampleSpec,
     Snowflake,
     Sphere,
@@ -41,7 +39,6 @@ from mdslab.spaces import (
     _fmt,
     _metric_space,
     _read_csv,
-    distance,
     finite_space_from_matrix,
     fourth_moment_norm,
     read_space_csv,
@@ -55,10 +52,6 @@ def named_triple(exc: TriangleViolation) -> tuple[int, int, int]:
     """The (i, j, k) a TriangleViolation message names."""
     found = re.search(r"\(i=(\d+), j=(\d+), k=(\d+)\)", str(exc))
     return tuple(int(v) for v in found.groups())
-
-
-def unit(theta: float) -> np.ndarray:
-    return np.array([math.cos(theta), math.sin(theta)])
 
 
 class TestFiniteSpaceValidation:
@@ -173,84 +166,6 @@ class TestFiniteSpaceValidation:
             fs.D[0, 1] = 5.0
 
 
-class TestAnalyticDistance:
-    def test_circle_antipodal(self):
-        assert distance(Sphere(1), unit(0.0), unit(math.pi)) == pytest.approx(math.pi)
-
-    def test_snowflake_antipodal(self):
-        snow = Snowflake(Sphere(1), 0.5)
-        got = distance(snow, unit(0.0), unit(math.pi))
-        assert got == pytest.approx(math.sqrt(math.pi))
-
-    def test_product_right_angles(self):
-        prod = ProductSpace(Sphere(1), Sphere(1))
-        x = (unit(0.0), unit(0.0))
-        y = (unit(math.pi / 2), unit(math.pi / 2))
-        assert distance(prod, x, y) == pytest.approx(math.pi / math.sqrt(2.0))
-
-    def test_snowflake_is_exact_power(self, rng):
-        snow = Snowflake(Sphere(2), 0.37)
-        for _ in range(50):
-            x = rng.standard_normal(3)
-            x /= np.linalg.norm(x)
-            y = rng.standard_normal(3)
-            y /= np.linalg.norm(y)
-            base = distance(Sphere(2), x, y)
-            assert distance(snow, x, y) == base**0.37
-
-    def test_symmetry_and_zero_on_identical(self, rng):
-        spaces = [
-            Sphere(1),
-            Sphere(3),
-            Snowflake(Sphere(2), 0.5),
-            Torus(2),
-            ProductSpace(Sphere(1), Torus(2)),
-        ]
-
-        def draw(space):
-            if isinstance(space, Sphere):
-                v = rng.standard_normal(space.d + 1)
-                return v / np.linalg.norm(v)
-            if isinstance(space, Snowflake):
-                return draw(space.base)
-            if isinstance(space, ProductSpace):
-                return (draw(space.left), draw(space.right))
-            return rng.uniform(0.0, 2 * math.pi, size=space.k)
-
-        for space in spaces:
-            for _ in range(200):
-                x, y = draw(space), draw(space)
-                assert distance(space, x, y) == pytest.approx(distance(space, y, x), abs=1e-14)
-                assert distance(space, x, x) == 0.0
-
-    def test_product_triangle_inequality(self, rng):
-        prod = ProductSpace(Sphere(1), Sphere(1))
-        for _ in range(300):
-            pts = [
-                (unit(rng.uniform(0, 2 * math.pi)), unit(rng.uniform(0, 2 * math.pi)))
-                for _ in range(3)
-            ]
-            dxy = distance(prod, pts[0], pts[1])
-            dxz = distance(prod, pts[0], pts[2])
-            dzy = distance(prod, pts[2], pts[1])
-            assert dxy <= dxz + dzy + 1e-12
-
-    def test_off_manifold_rejected(self):
-        with pytest.raises(PointOffManifold):
-            distance(Sphere(1), np.array([1.1, 0.0]), np.array([1.0, 0.0]))
-
-    @pytest.mark.parametrize("space, x, y", [
-        (Sphere(2), [math.nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
-        (Snowflake(Sphere(1), 0.5), [1.0, 0.0], [0.0, math.nan]),
-        (Torus(2), [math.nan, 0.0], [0.0, 0.0]),
-        (Torus(2), [math.inf, 0.0], [0.0, 0.0]),
-        (Torus(2), [0.0, 0.0], [0.0, -math.inf]),
-    ], ids=["sphere_nan", "snowflake_nan", "torus_nan", "torus_inf", "torus_neg_inf"])
-    def test_non_finite_point_rejected(self, space, x, y):
-        with pytest.raises(PointOffManifold):
-            distance(space, x, y)
-
-
 def _arc_modulo_form(a, b):
     """The arc as written before angles were required to lie in [0, 2 pi]."""
     delta = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % (2 * math.pi)
@@ -264,18 +179,6 @@ def test_circle_arc_on_grid_angles_equals_modulo_form(n, data):
     cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
     a, b = theta[:, None], theta[cols][None, :]
     assert np.array_equal(_circle_arc(a, b), _arc_modulo_form(a, b))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda k: st.tuples(*[
-    arrays(np.float64, k, elements=st.floats(-1e3, 1e3, allow_nan=False)) for _ in range(2)
-])))
-def test_torus_distance_of_any_finite_angles(xy):
-    x, y = xy
-    old = float(np.sqrt(np.sum(_arc_modulo_form(x, y) ** 2)))
-    got = distance(Torus(x.size), x, y)
-    assert abs(got - old) <= 1e-12
-    assert got == distance(Torus(x.size), y, x)
 
 
 class TestSampling:
