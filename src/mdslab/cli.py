@@ -278,9 +278,10 @@ def _cmd_product_check(args) -> None:
 
 
 def _cmd_torus_check(args) -> None:
-    if args.k < 1 or args.pairs < 1:
-        raise ConfigError(f"need --k >= 1 and --pairs >= 1, got {args.k} and {args.pairs}")
-    check = torus_check(args.n, args.k, args.trunc, n_pairs=args.pairs, seed=args.seed)
+    try:
+        check = torus_check(args.n, args.k, args.trunc, n_pairs=args.pairs, seed=args.seed)
+    except ValueError as exc:  # every argument is a flag
+        raise ConfigError(str(exc)) from exc
     if args.out:
         emit_table(
             ["n_per_factor", "k_factors", "trunc", "pairs", "max_error"],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mds_core import EmbeddingResult, double_center, eigendecompose, embed
-from .spaces import (TWO_PI, FiniteSpace, Sphere, SampleSpec, _circle_arc, _combine,
+from .spaces import (TWO_PI, FiniteSpace, Sphere, SampleSpec, _circle_arc,
                      _dist_sq_matrix, _kron_sum, _metric_space, sample)
 from .spaces import finite_space_from_matrix  # noqa: F401  bench/tracer.py wraps this name
 
@@ -26,7 +26,7 @@ def product_space(A: FiniteSpace, B: FiniteSpace) -> FiniteSpace:
     """Explicit product: Cartesian points in C order (A-major), product
     weights, and root-sum-of-squares distances. The l2 product of two
     metrics is a metric, so only the O(n^2) checks run."""
-    return _metric_space(_combine(A.D, B.D, grid=True), np.outer(A.w, B.w).ravel())
+    return _metric_space(np.sqrt(_kron_sum(A.D**2, B.D**2)), np.outer(A.w, B.w).ravel())
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +84,8 @@ def torus_check(n_per_factor: int, k_factors: int, trunc: int,
     """
     if trunc < 1 or trunc % 2 == 0:
         raise ValueError(f"truncation degree must be odd and >= 1, got {trunc}")
+    if k_factors < 1 or n_pairs < 1:
+        raise ValueError(f"need k_factors >= 1 and n_pairs >= 1, got {k_factors} and {n_pairs}")
     circle = sample(Sphere(1), SampleSpec(mode="grid", n=n_per_factor))
     result = eigendecompose(double_center(circle))
     m = min(trunc + 1, result.positive_count)

@@ -251,16 +251,17 @@ def _pairwise(space: AnalyticSpace, mode: str, n: int, rng: np.random.Generator)
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         G = X @ X.T
         G = (G + G.T) / 2.0
-        D = np.arccos(np.clip(G, -1.0, 1.0))
+        D = np.arccos(G.clip(-1.0, 1.0, out=G))
         np.fill_diagonal(D, 0.0)
         return D
     if isinstance(space, Snowflake):
         return _pairwise(space.base, mode, n, rng) ** space.alpha
-    if isinstance(space, Torus):
-        D = _pairwise(Sphere(1), mode, n, rng)
+    if isinstance(space, Torus):  # product metric: root of the summed squared factor distances
+        S = _pairwise(Sphere(1), mode, n, rng) ** 2
         for _ in range(space.k - 1):
-            D = _combine(D, _pairwise(Sphere(1), mode, n, rng), grid=(mode == "grid"))
-        return D
+            F = _pairwise(Sphere(1), mode, n, rng) ** 2
+            S = _kron_sum(S, F) if mode == "grid" else S + F
+        return np.sqrt(S)
     raise TypeError(f"unknown analytic space {space!r}")
 
 
@@ -269,14 +270,6 @@ def _kron_sum(SL: np.ndarray, SR: np.ndarray) -> np.ndarray:
     ((a, b), (a', b')) is SL[a, a'] + SR[b, b']."""
     nl, nr = SL.shape[0], SR.shape[0]
     return (SL[:, None, :, None] + SR[None, :, None, :]).reshape(nl * nr, nl * nr)
-
-
-def _combine(DL: np.ndarray, DR: np.ndarray, grid: bool) -> np.ndarray:
-    """Product metric: root of the sum of squared factor distances, over the
-    Cartesian product of the points (``grid``) or pointwise."""
-    if grid:
-        return np.sqrt(_kron_sum(DL**2, DR**2))
-    return np.sqrt(DL**2 + DR**2)
 
 
 def _dist_sq_matrix(points: np.ndarray) -> np.ndarray:

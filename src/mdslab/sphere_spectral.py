@@ -30,7 +30,7 @@ independent evaluators stay as its oracles:
   c_d = sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2)) (pi/2, 1, pi/4 for
   d = 1, 2, 3): series = c_d * lambda_j;
 * a quadrature route: the Funk-Hecke pairing of the kernel profile with the
-  normalized zonal function (cos(j phi) for d = 1).
+  normalized zonal function, one three-term recurrence at every d (no scipy).
 
 At odd degree j = 2n + 1, ``theta(d, n, s)`` is theta_j(s); it and its peak
 stay exposed for the decay analysis.
@@ -40,14 +40,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 # scipy.special is imported inside the functions that use it: the import
 # alone costs a few tenths of a second and about 20 MB, and only the
-# spectral commands and the even-d closed form need it. The odd-d closed
-# form (circle and torus limit maps, odd-d asymptotics) is plain floats.
+# series and the even-d closed form need it. Quadrature and the odd-d closed
+# form (circle and torus limit maps, odd-d asymptotics) are plain floats.
 
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
@@ -254,27 +254,29 @@ def _kernel_profile(kind: str) -> Callable[[np.ndarray], np.ndarray]:
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-def _gegenbauer_normalized(j: int, nu: float, t: np.ndarray) -> np.ndarray:
-    """C_j^nu(t) / C_j^nu(1) by the three-term recurrence."""
-    from scipy.special import gammaln
-
-    if j == 0:
-        return np.ones_like(t)
-    c_prev = np.ones_like(t)
-    c_cur = 2.0 * nu * t
-    for k in range(1, j):
-        c_next = (2.0 * (k + nu) * t * c_cur - (k + 2.0 * nu - 1.0) * c_prev) / (k + 1.0)
-        c_prev, c_cur = c_cur, c_next
-    at_one = math.exp(gammaln(j + 2.0 * nu) - gammaln(2.0 * nu) - gammaln(j + 1.0))
-    return c_cur / at_one
+def _zonal_values(d: int, top: int, t: np.ndarray) -> Iterator[np.ndarray]:
+    """The normalized zonal functions G_0, ..., G_top of S^d at cosines t, all in
+    [-1, 1]: (k + 2 nu) G_{k+1} = 2 (k + nu) t G_k - k G_{k-1}, nu = (d - 1) / 2,
+    G_0 = 1, G_1 = t (Chebyshev's at d = 1). Run at s = |t|, as G_k(t) = (-1)^k G_k(s),
+    in Reinsch's form D_{k+1} = (1 + c_k) (s - 1) G_k + c_k D_k on D_k = G_k - G_{k-1},
+    c_k = k / (k + 2 nu): the plain form's rounding errors grow like k^2 near s = 1."""
+    nu = (d - 1.0) / 2.0
+    s, flip = np.abs(t), np.where(t < 0.0, -1.0, 1.0)
+    u = s - 1.0
+    g, diff = s, u
+    yield np.ones_like(s)
+    for k in range(1, top + 1):
+        yield g * flip if k % 2 else g
+        if k < top:
+            c = k / (k + 2.0 * nu)
+            diff = (1.0 + c) * u * g + c * diff
+            g = g + diff
 
 
 def zonal_value(d: int, j: int, t: np.ndarray) -> np.ndarray:
-    """Normalized zonal function of degree j at cosine values t (equals 1 at t = 1)."""
-    t = np.asarray(t, dtype=float)
-    if d == 1:
-        return np.cos(j * np.arccos(np.clip(t, -1.0, 1.0)))
-    return _gegenbauer_normalized(j, (d - 1.0) / 2.0, t)
+    """Normalized zonal function G_j of S^d (1 at t = 1) at cosine values t in [-1, 1]."""
+    *_, g = _zonal_values(d, j, np.asarray(t, dtype=float))
+    return g
 
 
 def multiplicity(d: int, j: int) -> int:
@@ -297,8 +299,6 @@ def eigenvalue_quadrature(d: int, j: int, kind: str = "full") -> float:
     ``QUAD_MAX_NODES``, so degrees whose first two rules would (j > 1024)
     raise ``ValueError`` before any rule is built.
     """
-    from scipy.special import gammaln
-
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
     if j < 0:
@@ -308,7 +308,7 @@ def eigenvalue_quadrature(d: int, j: int, kind: str = "full") -> float:
         raise ValueError(f"degree {j} needs a {2 * nodes}-node quadrature rule; "
                          f"the cap is {QUAD_MAX_NODES} nodes (degree <= {QUAD_MAX_NODES // 4})")
     f = _kernel_profile(kind)
-    const = math.exp(gammaln((d + 1.0) / 2.0) - gammaln(d / 2.0)) / math.sqrt(math.pi)
+    const = math.exp(math.lgamma((d + 1.0) / 2.0) - math.lgamma(d / 2.0)) / math.sqrt(math.pi)
 
     def value_at(nodes: int) -> float:
         x, w = _gauss_legendre(nodes)
@@ -374,13 +374,12 @@ def truncated_embedding_dist_sq(d: int, trunc_degree: int, cos_angles: np.ndarra
 
         sum_{j odd <= trunc} 2 lambda_j N(d, j) (1 - G_j(cos theta)),
 
-    where G_j is the normalized zonal function (cos(j theta) for d = 1).
+    where G_j is the normalized zonal function, every degree from one recurrence pass.
     """
     cos_angles = np.asarray(cos_angles, dtype=float)
-    out = np.zeros_like(cos_angles)
-    for j in range(1, trunc_degree + 1, 2):
-        out += 2.0 * eigenvalues[j] * multiplicity(d, j) * (1.0 - zonal_value(d, j, cos_angles))
-    return out
+    return sum((2.0 * eigenvalues[j] * multiplicity(d, j) * (1.0 - g)
+                for j, g in enumerate(_zonal_values(d, trunc_degree, cos_angles)) if j % 2),
+               np.zeros_like(cos_angles))
 
 
 def snowflake_identity_error(d: int, trunc_degree: int, pairs: Sequence[tuple]) -> float:
@@ -393,20 +392,15 @@ def snowflake_identity_error(d: int, trunc_degree: int, pairs: Sequence[tuple]) 
     """
     if trunc_degree < 1:
         raise ValueError(f"truncation degree must be >= 1, got {trunc_degree}")
+    xy = np.asarray(pairs, dtype=float)
+    if xy.ndim != 3 or xy.shape[1:] != (2, d + 1):
+        raise ValueError(f"need pairs of vectors in R^{d + 1}, got shape {xy.shape}")
     lam = {j: eigenvalue_closed(d, j) for j in range(1, trunc_degree + 1, 2)}
-    cosines = []
-    angles = []
-    for x, y in pairs:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if np.array_equal(x, y):
-            c = 1.0
-        else:
-            c = float(np.clip(np.dot(x, y), -1.0, 1.0))
-        cosines.append(c)
-        angles.append(math.acos(c))
-    sq = truncated_embedding_dist_sq(d, trunc_degree, np.array(cosines), lam)
-    return float(np.max(np.abs(sq - math.pi * np.array(angles))))
+    x, y = xy[:, 0], xy[:, 1]
+    cosines = np.clip(np.sum(x * y, axis=1), -1.0, 1.0)
+    cosines[np.all(x == y, axis=1)] = 1.0
+    sq = truncated_embedding_dist_sq(d, trunc_degree, cosines, lam)
+    return float(np.max(np.abs(sq - math.pi * np.arccos(cosines))))
 
 
 # ---------------------------------------------------------------------------

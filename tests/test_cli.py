@@ -319,6 +319,13 @@ class TestRun:
         assert code == 2 and built == [] and not out.exists()
         assert "ValueError: degree 1025 needs a 4100-node quadrature rule" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["full", "snowflake"])
+    def test_quadrature_high_dimension_exit_0(self, capsys, kind):
+        # the zonal recurrence stays in [-1, 1]: no C_j^nu(1) to overflow at d = 400
+        assert run(["sphere", "eigen", "--dim", "400", "--degree", "1000",
+                    "--method", "quadrature", "--kind", kind]) == 0
+        assert "error" not in capsys.readouterr().err
+
     def test_space_gen_krein_roundtrip(self, tmp_path, capsys, monkeypatch):
         space_csv = tmp_path / "circle.csv"
         assert run(["space", "gen", "--space", "circle", "--n", "12",
@@ -673,6 +680,17 @@ class TestRun:
         """)
         seen = json.loads(fresh_python(code, cwd=tmp_path).splitlines()[-1])
         assert seen == [[], True]
+
+    def test_quadrature_eigen_loads_no_scipy(self, tmp_path):
+        # the quadrature route is plain floats at every d; only the series needs scipy
+        code = textwrap.dedent("""
+            import json, sys
+            from mdslab.cli import run
+            codes = [run(["sphere", "eigen", "--dim", d, "--degree", "5", "--method",
+                          "quadrature", "--out", f"q{d}.csv"]) for d in ("2", "3")]
+            print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+        """)
+        assert json.loads(fresh_python(code, cwd=tmp_path).splitlines()[-1]) == [[0, 0], []]
 
     def test_default_torus_sweep_runs_without_scipy(self, tmp_path):
         # Every row decomposes one n-point circle grid, so the default sizes

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import equilateral_triangle, four_cycle, random_metric_space
-from mdslab.mds_core import double_center, eigendecompose, spectral_embedding
+from mdslab.mds_core import double_center, spectral_embedding
 from mdslab.products import (
     predict_product_spectrum,
     product_space,
@@ -164,3 +164,12 @@ class TestTorus:
     def test_rejects_even_truncation(self):
         with pytest.raises(ValueError):
             torus_check(16, 2, 10)
+
+    def test_rejects_empty_torus(self):
+        # k = 0 would compare empty sums and report max_error 0
+        with pytest.raises(ValueError, match="k_factors >= 1 and n_pairs >= 1, got 0 and 1000"):
+            torus_check(16, 0, 3)
+
+    def test_rejects_zero_pairs(self):
+        with pytest.raises(ValueError, match="k_factors >= 1 and n_pairs >= 1, got 1 and 0"):
+            torus_check(16, 1, 3, n_pairs=0)

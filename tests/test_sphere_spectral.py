@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from mdslab.sphere_spectral import (
     QuadratureNotConverged,
     ToleranceNotReached,
     _gauss_legendre,
-    _gegenbauer_normalized,
+    _zonal_values,
     _series_log_term,
     _sum_unimodal,
     asymptotic_scan,
@@ -196,13 +197,12 @@ class TestQuadrature:
     @pytest.mark.parametrize("d", [2, 3])
     def test_cached_rule_gives_uncached_bits(self, d):
         # the Funk-Hecke doubling loop re-run inline on fresh leggauss arrays
-        const = math.exp(gammaln((d + 1.0) / 2.0) - gammaln(d / 2.0)) / math.sqrt(math.pi)
-        nu = (d - 1.0) / 2.0
+        const = math.exp(math.lgamma((d + 1.0) / 2.0) - math.lgamma(d / 2.0)) / math.sqrt(math.pi)
         for j in (1, 7, 64, 99):
             def value_at(nodes):
                 x, w = np.polynomial.legendre.leggauss(nodes)
                 phi = 0.5 * math.pi * (x + 1.0)
-                vals = (-0.5 * phi**2) * _gegenbauer_normalized(j, nu, np.cos(phi)) \
+                vals = (-0.5 * phi**2) * zonal_value(d, j, np.cos(phi)) \
                     * np.sin(phi) ** (d - 1)
                 return const * 0.5 * math.pi * float(w @ vals)
 
@@ -244,6 +244,46 @@ class TestQuadrature:
         for d in (1, 2, 3):
             for j in (0, 1, 4, 9):
                 assert zonal_value(d, j, t)[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_high_dimension_finite_without_warnings(self):
+        # d = 400, j = 1000: C_j^nu(1) would be far past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("full", "snowflake"):
+                assert math.isfinite(eigenvalue_quadrature(400, 1000, kind))
+
+
+def zonal_oracle(d: int, j: int, t: float) -> float:
+    """G_j(t) at 40 digits: cos(j arccos t) on the circle, C_j^nu(t) / C_j^nu(1) above."""
+    with mpmath.workdps(40):
+        if d == 1:
+            return float(mpmath.cos(j * mpmath.acos(t)))
+        nu = mpmath.mpf(d - 1) / 2
+        # zeroprec: at a zero of C_j^nu (t = 0, odd j) settle for an absolute 2^-200
+        return float(mpmath.gegenbauer(j, nu, t, zeroprec=200) / mpmath.gegenbauer(j, nu, 1))
+
+
+class TestZonal:
+    def test_mpmath_grid(self):
+        t = np.cos(np.linspace(0.0, math.pi, 41))
+        for d in (1, 2, 3, 5, 8):
+            for j in (1, 2, 3, 10, 51, 99, 200):
+                expect = np.array([zonal_oracle(d, j, float(x)) for x in t])
+                assert np.max(np.abs(zonal_value(d, j, t) - expect)) <= 3e-14, (d, j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 300), st.floats(-1.0, 1.0))
+    def test_mpmath_property(self, d, j, t):
+        assert abs(zonal_value(d, j, np.array([t]))[0] - zonal_oracle(d, j, t)) <= 3e-14
+
+    def test_one_pass_gives_every_degree(self):
+        t = np.cos(np.linspace(0.0, math.pi, 9))
+        for d in (1, 4):
+            values = list(_zonal_values(d, 12, t))
+            assert len(values) == 13
+            for j, g in enumerate(values):
+                assert np.array_equal(g, zonal_value(d, j, t))
+                assert np.array_equal(g, (-1) ** j * zonal_value(d, j, -t))
 
 
 class TestCalibration:
@@ -403,6 +443,12 @@ class TestSnowflakeIdentity:
     def test_identical_points_zero(self):
         x = unit(0.3)
         assert snowflake_identity_error(1, 9, [(x, x)]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_pairs_must_be_vectors_in_r_d_plus_1(self):
+        with pytest.raises(ValueError, match="need pairs of vectors in R\\^3"):
+            snowflake_identity_error(2, 9, [(unit(0.1), unit(0.2))])
+        with pytest.raises(ValueError, match="need pairs of vectors in R\\^2"):
+            snowflake_identity_error(1, 9, [])
 
     def test_antipodal_trunc_99(self):
         err = snowflake_identity_error(1, 99, [(unit(0.0), unit(math.pi))])
