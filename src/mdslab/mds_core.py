@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import BadWeights, FiniteSpace, _write_csv
+from .spaces import TWO_PI, BadWeights, FiniteSpace, _circle_arc, _write_csv
 
 
 class NoConvergence(RuntimeError):
@@ -173,6 +173,33 @@ def embed(result: EmbeddingResult, m: int) -> np.ndarray:
     out = np.zeros((result.n, m))
     if k:
         out[:, :k] = result.U[:, :k] * np.sqrt(result.eigenvalues[:k])
+    return out
+
+
+def circle_grid_embedding(n: int, m: int) -> np.ndarray:
+    """``embed(eigendecompose(double_center(...)), m)`` of the uniform n-point
+    circle grid, up to a rotation inside each degenerate pair, with no n x n
+    matrix: the centered kernel is circulant, so the real DFT of the kernel
+    row -d(0, theta_j)^2 / 2 gives lam_k, clamped as ``eigendecompose``
+    clamps. Each positive 0 < k < n/2 gives the columns sqrt(2 lam_k)
+    (cos k theta, sin k theta), and k = n/2 the column sqrt(lam_k) cos(pi j),
+    largest lam_k first (stable in k)."""
+    if m < 1:
+        raise DimensionMismatch(f"embedding dimension must be >= 1, got {m}")
+    grid = TWO_PI * np.arange(n) / n
+    lam = np.fft.rfft(-0.5 * _circle_arc(0.0, grid) ** 2).real / n
+    lam[0] = 0.0
+    lam[np.abs(lam) <= n * np.finfo(float).eps * np.abs(lam).max()] = 0.0
+    ks = np.flatnonzero(lam > 0.0)
+    ks = ks[np.argsort(-lam[ks], kind="stable")]
+    width = 1 + (2 * ks < n)  # a cos, sin pair below the Nyquist frequency
+    k_col = np.repeat(ks, width)[:m]
+    scale = np.repeat(np.sqrt(width * lam[ks]), width)[:m]
+    is_sin = np.r_[False, k_col[1:] == k_col[:-1]]
+    # the phases (k j) mod n index exact tables, so no angle grows with k
+    table = np.concatenate([np.cos(grid), np.sin(grid)])
+    out = np.zeros((n, m))
+    out[:, :k_col.size] = table[np.outer(np.arange(n), k_col) % n + n * is_sin] * scale
     return out
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mds_core import EmbeddingResult, double_center, eigendecompose, embed
-from .spaces import (TWO_PI, FiniteSpace, Sphere, SampleSpec, _circle_arc,
-                     _dist_sq_matrix, _kron_sum, _metric_space, sample)
-from .spaces import finite_space_from_matrix  # noqa: F401  bench/tracer.py wraps this name
+from .mds_core import EmbeddingResult, circle_grid_embedding, embed
+from .mds_core import double_center, eigendecompose  # noqa: F401  bench/tracer.py wraps this name
+from .spaces import TWO_PI, FiniteSpace, _circle_arc, _dist_sq_matrix, _kron_sum, _metric_space
+from .spaces import finite_space_from_matrix, sample  # noqa: F401  bench/tracer.py wraps this name
 
 
 def product_space(A: FiniteSpace, B: FiniteSpace) -> FiniteSpace:
@@ -73,29 +73,31 @@ class TorusCheck:
 
 def torus_check(n_per_factor: int, k_factors: int, trunc: int,
                 n_pairs: int = 1000, seed: int = 0) -> TorusCheck:
-    """Flat-torus embedding identity through the full finite pipeline.
+    """Flat-torus embedding identity through the finite circle embedding.
 
     Each circle factor is a grid of ``n_per_factor`` points, embedded with
-    the coordinates of odd degree up to ``trunc``; by factor additivity the
-    torus squared embedding distance is the sum of per-factor values, and it
-    is compared against pi * sum_f dist_circle(x_f, y_f) over random grid
-    point pairs. Grids must be fine enough that each factor's truncation
-    tail stays within the shared error budget.
+    its top ``trunc + 1`` coordinates (odd degrees up to ``trunc`` on fine
+    grids) by :func:`circle_grid_embedding`; by factor additivity the torus
+    squared embedding distance is the sum of per-factor values, and it is
+    compared against pi * sum_f dist_circle(x_f, y_f) over random grid point
+    pairs. Grids must be fine enough that each factor's truncation tail
+    stays within the shared error budget.
     """
     if trunc < 1 or trunc % 2 == 0:
         raise ValueError(f"truncation degree must be odd and >= 1, got {trunc}")
     if k_factors < 1 or n_pairs < 1:
         raise ValueError(f"need k_factors >= 1 and n_pairs >= 1, got {k_factors} and {n_pairs}")
-    circle = sample(Sphere(1), SampleSpec(mode="grid", n=n_per_factor))
-    result = eigendecompose(double_center(circle))
-    m = min(trunc + 1, result.positive_count)
-    E = embed(result, m)
-    sq_one = _dist_sq_matrix(E)
+    if n_per_factor < 1:
+        raise ValueError(f"n_per_factor must be >= 1, got {n_per_factor}")
+    # past the positive rank (< n) the columns are zero and add nothing
+    E = circle_grid_embedding(n_per_factor, min(trunc + 1, n_per_factor))
+    sq_from_0 = np.sum((E - E[0]) ** 2, axis=1)
 
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n_per_factor, size=(n_pairs, 2, k_factors))
     thetas = TWO_PI * np.arange(n_per_factor) / n_per_factor
     arc = _circle_arc(thetas[idx[:, 0, :]], thetas[idx[:, 1, :]])
-    embedded_sq = np.sum(sq_one[idx[:, 0, :], idx[:, 1, :]], axis=1)
+    # the grid is a group: the squared distance of (a, b) is that of (0, a - b)
+    embedded_sq = np.sum(sq_from_0[(idx[:, 0, :] - idx[:, 1, :]) % n_per_factor], axis=1)
     err = float(np.max(np.abs(embedded_sq - math.pi * np.sum(arc, axis=1))))
     return TorusCheck(max_error=err, factor_dist=arc, embedded_sq=embedded_sq)

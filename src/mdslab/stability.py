@@ -5,9 +5,10 @@ bounds on the order-p Gromov-Kantorovich distance), the Hilbert-Schmidt
 kernel gap and its two distortion bounds, orthogonal Procrustes alignment,
 eigenvalue perturbation checks, and the grid convergence experiment that
 drives all of it end to end: circle and flat-torus grid embeddings both
-align to the analytic limit map, each row from one n-point circle grid and
-a few circle averages (orbit reduction and product additivity), with no
-n^k-point torus grid and no fine grid.
+align to the analytic limit map, each row from one n-point circle grid
+embedding (one real DFT of its circulant kernel, no eigensolver) and a few
+circle averages (orbit reduction and product additivity), with no n^k-point
+torus grid and no fine grid.
 
 Distortion costs are never exact optima: the quadratic assignment underneath
 is intractable, and every bound used here is coupling-wise, so explicit
@@ -22,18 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .mds_core import DimensionMismatch, double_center, eigendecompose, embed
-from .spaces import (
-    TWO_PI,
-    FiniteSpace,
-    Sphere,
-    Torus,
-    SampleSpec,
-    _circle_arc,
-    fourth_moment_norm,
-    sample,
-)
-from .spaces import finite_space_from_matrix  # noqa: F401  bench/tracer.py wraps this name
+from .mds_core import DimensionMismatch, circle_grid_embedding
+from .mds_core import double_center, eigendecompose, embed  # noqa: F401  bench/tracer.py wraps this name
+from .spaces import TWO_PI, FiniteSpace, Sphere, Torus, _circle_arc, fourth_moment_norm
+from .spaces import finite_space_from_matrix, sample  # noqa: F401  bench/tracer.py wraps this name
 from .sphere_spectral import eigenvalue_closed
 from .sphere_spectral import eigenvalue_quadrature  # noqa: F401  bench/tracer.py wraps this name
 
@@ -418,19 +411,19 @@ def _image_gap(E: np.ndarray, ref: np.ndarray, k: int) -> float:
 
 def _grid_row(k: int, n: int, m: int, refine: int) -> ConvergenceRow:
     """One sweep row on the ``torus:k`` grid of n points per factor (k = 1 is
-    the circle) from the n-point circle embedding at ``m // k`` columns: the
-    centered torus kernel is the sum of the lifted circle kernels, and under
-    the product measure the factors' cross-covariance is zero, so the
-    Procrustes rotation is block diagonal and the aligned residual is
-    sqrt(k) times the circle's."""
+    the circle) from the n-point circle embedding at ``m // k`` columns, which
+    :func:`circle_grid_embedding` takes from one real DFT: the centered torus
+    kernel is the sum of the lifted circle kernels, and under the product
+    measure the factors' cross-covariance is zero, so the Procrustes rotation
+    is block diagonal and the aligned residual is sqrt(k) times the
+    circle's. The grid weights are uniform."""
     mc = m // k
-    circle = sample(Sphere(1), SampleSpec(mode="grid", n=n))
-    E = embed(eigendecompose(double_center(circle)), mc)
+    E = circle_grid_embedding(n, mc)
     ref = circle_limit_map(TWO_PI * np.arange(n) / n, mc)
     gap, c_fine, w4_map = _nearest_map_columns(n, refine, k)
     return ConvergenceRow(
         n=n,
-        aligned_l2=math.sqrt(k) * procrustes(ref, E, circle.w).residual,
+        aligned_l2=math.sqrt(k) * procrustes(ref, E).residual,
         gw2_images=_image_gap(E, ref, k),
         # W_4 to the uniform torus: h (k/80 + k(k-1)/144)^(1/4), h = 2 pi / n,
         # since the Voronoi map is optimal (constant dual potential by
@@ -451,8 +444,9 @@ def convergence_experiment(space, sizes: Sequence[int], m: int,
     images under the grid coupling, the exact order-4 transport distance to
     the uniform measure, and one kernel-gap bound instance for the
     nearest-point coupling of a ``refine`` times finer grid (per factor).
-    Every row decomposes one n-point circle grid, on ``torus:k`` too
-    (product additivity and orbit reduction), and builds no fine grid.
+    Every row decomposes one n-point circle grid by a real DFT, on
+    ``torus:k`` too (product additivity and orbit reduction), and builds no
+    fine grid and no n x n matrix.
     ``m`` is rounded up to whole degenerate eigenvalue blocks (2k columns
     per odd degree on ``torus:k``): Procrustes cannot align part of a block.
     Repeated sizes raise ``ValueError``, and so does every n < 2 (m // k) - 1,

@@ -455,6 +455,29 @@ class TestRun:
         assert code == 0
         assert "torus identity max error" in capsys.readouterr().out
 
+    def test_torus_check_zero_points_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run(["torus", "check", "--n", "0", "--k", "1", "--trunc", "3",
+                    "--out", str(out)]) == 2
+        assert "n_per_factor" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_torus_check_tiny_grids_exit_0(self, tmp_path, n):
+        # the one-point grid has no positive eigenvalue; two points are exact
+        out = tmp_path / "t.csv"
+        assert run(["torus", "check", "--n", n, "--k", "1", "--trunc", "3",
+                    "--out", str(out)]) == 0
+        assert float(np.loadtxt(out, delimiter=",", skiprows=1)[4]) <= 1e-12
+
+    def test_converge_large_grids_shrink_fourfold(self, tmp_path):
+        out = tmp_path / "conv.csv"
+        assert run(["stability", "converge", "--sizes", "1024,2048,4096",
+                    "--out", str(out)]) == 0
+        aligned = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        ratios = aligned[:-1] / aligned[1:]
+        assert np.all((3.9 <= ratios) & (ratios <= 4.1)), ratios
+
     def test_converge_with_config_file(self, tmp_path):
         out = tmp_path / "conv.csv"
         cfg_path = write_json(tmp_path / "cfg.json", {

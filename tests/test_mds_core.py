@@ -1,6 +1,8 @@
 """MDS core: centering, decomposition, embeddings, reconstruction, CSV output."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,10 @@ from conftest import (
     shortest_path_completion,
 )
 from mdslab.mds_core import (
+    DimensionMismatch,
     _fix_signs,
     _order_degenerate_blocks,
+    circle_grid_embedding,
     double_center,
     eigendecompose,
     embed,
@@ -24,7 +28,8 @@ from mdslab.mds_core import (
     spectral_embedding,
     write_embedding_csv,
 )
-from mdslab.spaces import BadWeights, _read_csv, finite_space_from_matrix
+from mdslab.spaces import (TWO_PI, BadWeights, SampleSpec, Sphere, _circle_arc, _dist_sq_matrix,
+                           _read_csv, finite_space_from_matrix, sample)
 from mdslab.stability import procrustes
 
 
@@ -339,3 +344,51 @@ class TestEmbeddingCsv:
         _, rows = _read_csv(str(path), 0)
         assert np.array_equal(rows[0], res.eigenvalues)
         assert np.array_equal(rows[1:], res.U)
+
+
+def circle_grid_decomposition(n: int):
+    """The eigensolver route on the uniform n-point circle grid: the oracle
+    of ``circle_grid_embedding``."""
+    return eigendecompose(double_center(sample(Sphere(1), SampleSpec("grid", n))))
+
+
+def snowflake_error(E: np.ndarray) -> float:
+    """max over grid pairs of | ||E(a) - E(b)||^2 - pi d(a, b) |."""
+    n = E.shape[0]
+    thetas = TWO_PI * np.arange(n) / n
+    return float(np.max(np.abs(_dist_sq_matrix(E)
+                               - math.pi * _circle_arc(thetas[:, None], thetas[None, :]))))
+
+
+class TestCircleGridEmbedding:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_matches_eigensolver_on_whole_blocks(self, n):
+        # m ends on a whole degenerate block: an even m inside the positive
+        # rank, or any m at or past it (zero columns included)
+        res = circle_grid_decomposition(n)
+        pos = res.positive_count
+        for m in [*range(2, pos, 2), *range(max(pos, 1), n + 3)]:
+            E = circle_grid_embedding(n, m)
+            want = embed(res, m)
+            assert E.shape == want.shape
+            assert np.max(np.abs(_dist_sq_matrix(E) - _dist_sq_matrix(want))) <= 1e-12, m
+            assert np.array_equal(E[:, pos:] == 0.0, want[:, pos:] == 0.0), m
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_dimension_below_one(self, m):
+        with pytest.raises(DimensionMismatch, match=f"must be >= 1, got {m}"):
+            circle_grid_embedding(8, m)
+
+    def test_snowflake_identity_exact_on_even_grids(self):
+        # at full positive rank (n/2 columns) an even grid satisfies
+        # ||E(a) - E(b)||^2 = pi d(a, b) exactly, through either route
+        for n in range(2, 513, 2):
+            assert snowflake_error(circle_grid_embedding(n, n // 2)) <= 1e-12, n
+        for n in [*range(2, 65, 2), 128, 256, 510, 512]:
+            res = circle_grid_decomposition(n)
+            assert res.positive_count == n // 2
+            assert snowflake_error(embed(res, n // 2)) <= 1e-12, n
+
+    def test_snowflake_identity_fails_on_odd_grids(self):
+        for n in range(3, 256, 2):
+            assert snowflake_error(circle_grid_embedding(n, n)) > 0.01, n

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdslab.products
 from conftest import equilateral_triangle, four_cycle, random_metric_space
-from mdslab.mds_core import double_center, spectral_embedding
+from mdslab.mds_core import circle_grid_embedding, double_center, spectral_embedding
 from mdslab.products import (
     predict_product_spectrum,
     product_space,
@@ -169,6 +170,26 @@ class TestTorus:
         # k = 0 would compare empty sums and report max_error 0
         with pytest.raises(ValueError, match="k_factors >= 1 and n_pairs >= 1, got 0 and 1000"):
             torus_check(16, 0, 3)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_empty_grid(self, n):
+        with pytest.raises(ValueError, match=f"n_per_factor must be >= 1, got {n}"):
+            torus_check(n, 1, 3)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_grids_are_exact(self, n):
+        assert torus_check(n, 2, 3, n_pairs=20).max_error <= 1e-12
+
+    def test_huge_truncation_embeds_at_most_n_columns(self, monkeypatch):
+        seen = []
+
+        def spy(n, m):
+            seen.append(m)
+            return circle_grid_embedding(n, m)
+
+        monkeypatch.setattr(mdslab.products, "circle_grid_embedding", spy)
+        assert math.isfinite(torus_check(16, 2, 10**9 + 1, n_pairs=50).max_error)
+        assert seen == [16]
 
     def test_rejects_zero_pairs(self):
         with pytest.raises(ValueError, match="k_factors >= 1 and n_pairs >= 1, got 1 and 0"):

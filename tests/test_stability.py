@@ -3,15 +3,19 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdslab.products
 import mdslab.stability
 from conftest import (coupling_identity, equilateral_triangle, gw_bruteforce,
                       random_metric_space, shortest_path_completion, two_points)
-from mdslab.mds_core import DimensionMismatch, double_center, eigendecompose, embed
+from mdslab.mds_core import (DimensionMismatch, circle_grid_embedding, double_center,
+                             eigendecompose, embed)
+from mdslab.products import torus_check
 from mdslab.spaces import (FiniteSpace, SampleSpec, Sphere, Torus, finite_space_from_matrix,
                            fourth_moment_norm, sample)
 from mdslab.stability import (
@@ -465,6 +469,18 @@ class TestConvergence:
             assert r.hs_lhs <= r.hs_rhs
             assert r.w4 == w4_circle_grid(r.n)  # the torus factor is exactly 1
 
+    def test_circle_rows_match_mpmath(self):
+        # at m = 2 the grid map is sqrt(2 lam_1^(n)) (cos, sin) and the limit
+        # map sqrt(2) (cos, sin), so aligned_L2 = sqrt(2) |sqrt(lam_1^(n)) - 1|
+        sizes = [16, 64, 256, 1024, 2048]
+        rows = convergence_experiment(Sphere(1), sizes, 2)
+        with mpmath.workdps(40):
+            for n, row in zip(sizes, rows):
+                lam = mpmath.fsum(-(2 * mpmath.pi * min(j, n - j) / n) ** 2 / 2
+                                  * mpmath.cos(2 * mpmath.pi * j / n) for j in range(n)) / n
+                want = float(mpmath.sqrt(2) * abs(mpmath.sqrt(lam) - 1))
+                assert abs(row.aligned_l2 - want) <= 1e-14, (n, row.aligned_l2, want)
+
     def test_limit_map_values(self):
         thetas = TWO_PI * np.arange(8) / 8
         L = circle_limit_map(thetas, 2)
@@ -532,22 +548,22 @@ class TestRowsFromOneCircle:
             assert rel_close(row.aligned_l2, aligned, 1e-12), (n, row.aligned_l2, aligned)
             assert rel_close(row.gw2_images, gw2, 1e-12), (n, row.gw2_images, gw2)
 
-    def test_samples_only_the_circle(self, monkeypatch):
-        seen = []
+    def test_runs_no_sample_or_eigensolver(self, monkeypatch):
+        # every circle grid embedding comes from one real DFT
+        def refuse(*args):
+            raise AssertionError("a circle grid reached sample or the eigensolver")
 
-        def counted(space, spec):
-            seen.append((space, spec.n))
-            return sample(space, spec)
-
-        monkeypatch.setattr(mdslab.stability, "sample", counted)
+        for module in (mdslab.stability, mdslab.products):
+            for name in ("sample", "double_center", "eigendecompose"):
+                monkeypatch.setattr(module, name, refuse)
         for space in (Sphere(1), Torus(2), Torus(3)):
-            convergence_experiment(space, [4, 8], 2)
-        assert seen == [(Sphere(1), 4), (Sphere(1), 8)] * 3
+            assert len(convergence_experiment(space, [4, 8], 2)) == 2
+        assert math.isfinite(torus_check(16, 2, 3, n_pairs=20).max_error)
 
     def test_image_gap_chunks_agree(self):
         # torus:3 at n = 128 has 2^21 points, so the sum runs in two chunks
         (row,) = convergence_experiment(Torus(3), [128], 6)
-        E = embed(eigendecompose(double_center(sample(Sphere(1), SampleSpec("grid", 128)))), 2)
+        E = circle_grid_embedding(128, 2)
         ref = circle_limit_map(TWO_PI * np.arange(128) / 128, 2)
         a, b = (np.sum((P - P[0]) ** 2, axis=1) for P in (E, ref))
         grids = [np.meshgrid(*[x] * 3, indexing="ij") for x in (a, b)]
