@@ -66,7 +66,7 @@ CLAIMS = {
     "space gen": "construction and validation of finite metric measure spaces, grid and seeded random sampling",
     "mds embed": "double-centered spectral embedding; embedded distances dominate the input metric and reproduce it exactly on Euclidean-embeddable spaces",
     "mds krein": "signed spectral decomposition reconstructs squared distances exactly through the indefinite pair map",
-    "sphere eigen": "sphere kernel eigenvalues: quadrature matches the closed form lambda_j, the series gives c_d * lambda_j with c_d = sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2)); odd degrees are positive",
+    "sphere eigen": "sphere kernel eigenvalues: quadrature matches the closed form lambda_j to about 1e-9 absolute, the series gives c_d * lambda_j with c_d = sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2)) to about --tol relative; odd degrees are positive (for quadrature, where lambda_j is well above 1e-9)",
     "sphere asymptotics": "the ground-truth positive eigenvalues lambda_{2n+1} decay like n^(-d-1): n^(d+1) lambda_{2n+1} tends to Gamma((d+1)/2)^2 / 4, with the series summand peaking at s = Theta(n^2)",
     "stability converge": "circle and flat-torus grid embeddings converge to the analytic limit map after orthogonal alignment; the n-point circle grid embedding comes from one real DFT of its circulant kernel, and a torus:k row is that embedding once per factor, so its aligned residual is sqrt(k) times the circle's; every row adds a coupling-wise kernel-gap bound against a refined grid",
     "product check": "product spectra merge from factor spectra and squared embedding distances add across factors",
@@ -333,7 +333,10 @@ def _build_parser() -> argparse.ArgumentParser:
     eig = sphere.add_parser("eigen", help="one eigenvalue of the sphere kernel")
     eig.add_argument("--dim", type=int, required=True)
     eig.add_argument("--degree", type=int, required=True)
-    eig.add_argument("--method", choices=["series", "quadrature"], required=True)
+    eig.add_argument("--method", choices=["series", "quadrature"], required=True,
+                     help="series: c_d * lambda_j to about --tol relative; quadrature: "
+                          "lambda_j to about 1e-9 absolute, so values near or below 1e-9 "
+                          "resolve neither sign nor relative size")
     eig.add_argument("--kind", choices=["full", "snowflake"], default="full")
     eig.add_argument("--tol", type=float, default=1e-9,
                      help="series only: stop once two successive tail-corrected sums agree "

@@ -23,14 +23,17 @@ independent evaluators stay as its oracles:
   where at j = 0 the s = 0 term is the constant coefficient's,
   pi^(5/2) / (16 Gamma((d+1)/2)). The positive terms are summed in log
   space. The summand is unimodal with a peak at s = Theta(j^2) and a
-  power-law tail, so the sum is not cut where terms get small: past the
-  peak, the partial sum plus an Euler-Maclaurin tail is formed after each
-  doubling block, and summation stops once two successive totals agree to
-  ``tol`` in log. It carries the factor
+  power-law tail, so the sum is not cut where terms get small: in doubling
+  blocks from 1,024 terms, past the peak, the partial sum plus an
+  Euler-Maclaurin tail is formed after each block, and summation stops once
+  two successive totals agree to ``tol`` in log. It carries the factor
   c_d = sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2)) (pi/2, 1, pi/4 for
   d = 1, 2, 3): series = c_d * lambda_j;
 * a quadrature route: the Funk-Hecke pairing of the kernel profile with the
-  normalized zonal function, one three-term recurrence at every d (no scipy).
+  normalized zonal function, one three-term recurrence at every d (no scipy),
+  run once over the nodes of both first Gauss-Legendre rules. It stops on
+  absolute agreement, so it matches lambda_j to about 1e-9 absolute: below
+  that, neither the sign nor the relative size of its value is resolved.
 
 At odd degree j = 2n + 1, ``theta(d, n, s)`` is theta_j(s); it and its peak
 stay exposed for the decay analysis.
@@ -153,10 +156,11 @@ def _sum_unimodal(log_term: Callable[[np.ndarray], np.ndarray], tol: float,
                   budget: int = SERIES_TERM_BUDGET) -> float:
     """Log of sum_{s=0}^inf exp(log_term(s)) for a unimodal positive summand.
 
-    Terms are summed in doubling blocks. After each block that ends past the
-    peak (its last term below the running maximum), the total is the partial
-    sum plus the Euler-Maclaurin tail from the block end; the sum stops once
-    two successive totals agree to ``tol`` in log. Raises
+    Terms are summed in doubling blocks of 1,024, 2,048, ... terms, capped at
+    262,144. After each block that ends past the peak (its last term below
+    the running maximum), the total is the partial sum plus the
+    Euler-Maclaurin tail from the block end; the sum stops once two
+    successive totals agree to ``tol`` in log. Raises
     :class:`ToleranceNotReached` if the budget runs out first.
     """
     from scipy.special import logsumexp
@@ -165,7 +169,7 @@ def _sum_unimodal(log_term: Callable[[np.ndarray], np.ndarray], tol: float,
     peak = -math.inf
     prev_total: Optional[float] = None
     s0 = 0
-    block = 4096
+    block = 1024
     while s0 < budget:
         hi = min(s0 + block, budget)
         lt = log_term(np.arange(s0, hi, dtype=float))
@@ -263,19 +267,23 @@ def _zonal_values(d: int, top: int, t: np.ndarray) -> Iterator[np.ndarray]:
     nu = (d - 1.0) / 2.0
     s, flip = np.abs(t), np.where(t < 0.0, -1.0, 1.0)
     u = s - 1.0
-    g, diff = s, u
+    g, diff = s, u.copy()
     yield np.ones_like(s)
     for k in range(1, top + 1):
         yield g * flip if k % 2 else g
         if k < top:
             c = k / (k + 2.0 * nu)
-            diff = (1.0 + c) * u * g + c * diff
-            g = g + diff
+            step = (1.0 + c) * u
+            step *= g
+            diff *= c
+            diff += step
+            g = g + diff  # a new array: the yielded g is never written
 
 
 def zonal_value(d: int, j: int, t: np.ndarray) -> np.ndarray:
     """Normalized zonal function G_j of S^d (1 at t = 1) at cosine values t in [-1, 1]."""
-    *_, g = _zonal_values(d, j, np.asarray(t, dtype=float))
+    for g in _zonal_values(d, j, np.asarray(t, dtype=float)):
+        pass  # keeps only the latest degree alive
     return g
 
 
@@ -295,9 +303,15 @@ def eigenvalue_quadrature(d: int, j: int, kind: str = "full") -> float:
     zonal function under the normalized surface measure (for d = 1 the Fourier
     coefficient (1/pi) int_0^pi k(phi) cos(j phi) dphi), evaluated in the angle
     variable, where the integrand is analytic, with node counts doubled from
-    max(64, 2j) until successive values agree to 1e-9. No rule exceeds
+    max(64, 2j) until successive values agree to ``QUAD_TOL_FUNK`` = 1e-9.
+    The first two rules share one zonal recurrence over their joint nodes;
+    each later doubling runs it on its own rule. No rule exceeds
     ``QUAD_MAX_NODES``, so degrees whose first two rules would (j > 1024)
     raise ``ValueError`` before any rule is built.
+
+    The stop rule is absolute, so the value matches lambda_j to about 1e-9
+    absolute, not relative: where |lambda_j| is near or below that (large d
+    or j), its sign and relative size are not resolved.
     """
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
@@ -310,22 +324,25 @@ def eigenvalue_quadrature(d: int, j: int, kind: str = "full") -> float:
     f = _kernel_profile(kind)
     const = math.exp(math.lgamma((d + 1.0) / 2.0) - math.lgamma(d / 2.0)) / math.sqrt(math.pi)
 
-    def value_at(nodes: int) -> float:
-        x, w = _gauss_legendre(nodes)
-        phi = 0.5 * math.pi * (x + 1.0)
+    def values_at(*sizes: int) -> list[float]:
+        """One value per rule, all from one zonal recurrence over the rules' joint nodes."""
+        rules = [_gauss_legendre(n) for n in sizes]
+        phi = 0.5 * math.pi * (np.concatenate([x for x, _ in rules]) + 1.0)
         vals = f(phi) * zonal_value(d, j, np.cos(phi)) * np.sin(phi) ** (d - 1)
-        return const * 0.5 * math.pi * float(w @ vals)
+        parts = np.split(vals, np.cumsum([w.size for _, w in rules])[:-1])
+        return [const * 0.5 * math.pi * float(w @ v) for (_, w), v in zip(rules, parts)]
 
-    prev = value_at(nodes)
-    while 2 * nodes <= QUAD_MAX_NODES:
-        nodes *= 2
-        cur = value_at(nodes)
+    prev, cur = values_at(nodes, 2 * nodes)
+    nodes *= 2
+    while True:
         if abs(cur - prev) <= QUAD_TOL_FUNK:
             return cur
-        prev = cur
-    raise QuadratureNotConverged(
-        f"Funk-Hecke quadrature for d={d}, j={j} did not stabilize at {QUAD_TOL_FUNK}"
-    )
+        if 2 * nodes > QUAD_MAX_NODES:
+            raise QuadratureNotConverged(
+                f"Funk-Hecke quadrature for d={d}, j={j} did not stabilize at {QUAD_TOL_FUNK}"
+            )
+        nodes *= 2
+        prev, (cur,) = cur, values_at(nodes)
 
 
 def eigenvalue_closed(d: int, j: int) -> float:

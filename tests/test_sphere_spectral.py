@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -50,6 +51,37 @@ def c_d(d: int) -> float:
     """Series-to-eigenvalue factor sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2))."""
     return math.exp(0.5 * math.log(math.pi) + gammaln(d / 2.0) - math.log(2.0)
                     - gammaln((d + 1.0) / 2.0))
+
+
+def count_series_terms(monkeypatch, d: int, j: int) -> int:
+    """Number of summands ``eigenvalue_series(d, j)`` evaluates, the tail integral's included."""
+    counted = []
+
+    def counting(d, j):
+        log_term = _series_log_term(d, j)
+
+        def wrapped(s):
+            counted.append(np.size(s))
+            return log_term(s)
+
+        return wrapped
+
+    monkeypatch.setattr("mdslab.sphere_spectral._series_log_term", counting)
+    eigenvalue_series(d, j)
+    return sum(counted)
+
+
+def zonal_reference(d: int, j: int, t: np.ndarray) -> np.ndarray:
+    """G_j by the recurrence of ``_zonal_values``, each step formed out of place."""
+    nu = (d - 1.0) / 2.0
+    s, flip = np.abs(t), np.where(t < 0.0, -1.0, 1.0)
+    u = s - 1.0
+    g, diff = (np.ones_like(s), None) if j == 0 else (s, u)
+    for k in range(1, j):
+        c = k / (k + 2.0 * nu)
+        diff = (1.0 + c) * u * g + c * diff
+        g = g + diff
+    return g * flip if j % 2 else g
 
 
 class TestCoefficients:
@@ -131,20 +163,19 @@ class TestSeriesEvaluator:
 
     def test_term_count_guard(self, monkeypatch):
         # the 8-small-terms rule evaluated 258,115 terms here
-        counted = []
+        assert 0 < count_series_terms(monkeypatch, 2, 41) < 30_000
 
-        def counting(d, j):
-            log_term = _series_log_term(d, j)
+    def test_first_block_term_count(self, monkeypatch):
+        # the summand peaks at s = 69; first blocks of 4,096 terms evaluated 12,422
+        assert count_series_terms(monkeypatch, 2, 41) < 4_000
 
-            def wrapped(s):
-                counted.append(np.size(s))
-                return log_term(s)
-
-            return wrapped
-
-        monkeypatch.setattr("mdslab.sphere_spectral._series_log_term", counting)
-        eigenvalue_series(2, 41)
-        assert 0 < sum(counted) < 30_000
+    def test_first_block_accuracy_grid(self):
+        # worst relative error 4.9e-10, at (1, 400); first blocks of 512 or 2,048
+        # terms reach 1.5e-9 on this grid
+        for d in (1, 2, 3, 5, 8, 12):
+            for j in [*range(1, 100, 7), 150, 200, 300, 400, 401]:
+                expect = c_d(d) * eigenvalue_closed(d, j)
+                assert abs(eigenvalue_series(d, j) / expect - 1.0) <= 1e-9, (d, j)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_summand_matches_coefficient_route(self, d):
@@ -231,6 +262,56 @@ class TestQuadrature:
             eigenvalue_quadrature(2, 3)
         assert built == [64 * 2**k for k in range(7)] and built[-1] == QUAD_MAX_NODES
 
+    def test_one_pass_gives_rule_by_rule_bits(self):
+        # each rule evaluated on its own nodes, as one zonal pass per rule did;
+        # every (d, j, kind) here settles at the first doubling
+        profiles = {"full": lambda phi: -0.5 * phi**2, "snowflake": lambda phi: -0.5 * phi}
+        for j in range(200):  # degree outermost, so each rule is built once
+            rules = [_gauss_legendre(n) for n in (max(64, 2 * j), max(128, 4 * j))]
+            for d in (1, 2, 3, 5, 8):
+                const = math.exp(math.lgamma((d + 1.0) / 2.0) - math.lgamma(d / 2.0)) \
+                    / math.sqrt(math.pi)
+                parts = []
+                for x, w in rules:
+                    phi = 0.5 * math.pi * (x + 1.0)
+                    parts.append((phi, w, zonal_reference(d, j, np.cos(phi)),
+                                  np.sin(phi) ** (d - 1)))
+                for kind, profile in profiles.items():
+                    prev, expect = (const * 0.5 * math.pi * float(w @ (profile(phi) * zonal * sine))
+                                    for phi, w, zonal, sine in parts)
+                    assert abs(expect - prev) <= QUAD_TOL_FUNK
+                    assert eigenvalue_quadrature(d, j, kind).hex() == expect.hex(), (d, j, kind)
+
+    def test_one_zonal_pass_when_first_doubling_settles(self, monkeypatch):
+        passes, built = [], []
+        zonal_values, rule = mdslab.sphere_spectral._zonal_values, _gauss_legendre
+
+        def counting_zonal(*args):
+            passes.append(args[:2])
+            return zonal_values(*args)
+
+        def recording_rule(nodes):
+            built.append(nodes)
+            return rule(nodes)
+
+        monkeypatch.setattr(mdslab.sphere_spectral, "_zonal_values", counting_zonal)
+        monkeypatch.setattr(mdslab.sphere_spectral, "_gauss_legendre", recording_rule)
+        for d in (1, 2, 3, 8):
+            for j in (0, 1, 7, 41, 99, 199):
+                for kind in ("full", "snowflake"):
+                    passes.clear()
+                    built.clear()
+                    eigenvalue_quadrature(d, j, kind)
+                    assert built == [max(64, 2 * j), 2 * max(64, 2 * j)]
+                    assert passes == [(d, j)]
+
+    @pytest.mark.parametrize("d, j", [(189, 51), (20, 300), (8, 199)])
+    def test_agrees_with_closed_form_to_absolute_tolerance(self, d, j):
+        # the stop rule is absolute: below about 1e-9 neither the sign nor the
+        # relative size of the quadrature value is resolved (here -4.5e-42 for
+        # +7.6e-56, +2.5e-30 for -3.4e-35, and 1.7e-5 relative)
+        assert abs(eigenvalue_quadrature(d, j) - eigenvalue_closed(d, j)) <= QUAD_TOL_FUNK
+
     def test_cached_rule_is_read_only(self):
         x, w = _gauss_legendre(128)
         assert _gauss_legendre(128)[0] is x
@@ -284,6 +365,28 @@ class TestZonal:
             for j, g in enumerate(values):
                 assert np.array_equal(g, zonal_value(d, j, t))
                 assert np.array_equal(g, (-1) ** j * zonal_value(d, j, -t))
+
+    def test_yielded_values_stay_unchanged(self):
+        # the recurrence updates its step arrays in place, never a yielded one
+        t = np.cos(np.linspace(0.0, math.pi, 33))
+        for d in (1, 2, 5):
+            held, copies = [], []
+            for g in _zonal_values(d, 20, t):
+                held.append(g)
+                copies.append(g.copy())
+            assert all(np.array_equal(g, kept) for g, kept in zip(held, copies))
+            assert all(np.array_equal(g, zonal_reference(d, j, t)) for j, g in enumerate(held))
+
+    def test_zonal_value_keeps_only_the_last_degree(self):
+        # all 1,001 degrees of 6,000 points held at once would peak at 46 MB
+        t = np.cos(np.linspace(0.0, math.pi, 6000))
+        tracemalloc.start()
+        try:
+            zonal_value(2, 1000, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestCalibration:
