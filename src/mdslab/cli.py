@@ -4,8 +4,9 @@ A run's config is its parsed flags: ``{"command": "<group> <sub>", <flag
 dest>: <value>, ...}``, with ``MDSLAB_SEED`` resolved into ``seed``. Every
 subcommand runs deterministically from its flags and writes its result table
 as CSV (17 significant digits, LF line endings) and a JSON run record next to
-it. The record's hash covers the config JSON and the sha256 of every input
-file, taken before the command runs. ``stability converge --config FILE``
+it. The record's hash covers the config JSON, the environment (numpy, its BLAS
+and the BLAS thread count, which changes eigensolver bits) and the sha256 of
+every input file, taken before the command runs. ``stability converge --config FILE``
 appends the keys of a JSON object as ``--key=value`` flags, so the file
 overrides the flags it names and passes through the same parser. Exit codes:
 0 success, 2 for validation or usage errors (unwritable output included) and
@@ -15,6 +16,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -82,15 +84,48 @@ class ConfigError(ValueError):
 class RunRecord:
     """Provenance of one run; identical config hashes imply byte-identical
     result tables (wall time is informational only). The hash covers the
-    config JSON and the sha256 of every input file, in order."""
+    config JSON, the ``env`` JSON and the sha256 of every input file, in order."""
 
     config_hash: str
     version: str
     wall_time_s: float
     result_path: Optional[str]
     config: dict
+    env: dict
     input_sha256: list[str]
     result_sha256: str
+
+
+@lru_cache(maxsize=None)
+def _blas_thread_getters() -> tuple:
+    """(file name, thread-count getter) of each loaded OpenBLAS library, looked
+    up once per process: reading the memory map and the symbols costs far more
+    than a getter call, which each record makes. Empty where the map cannot be read."""
+    try:
+        with open("/proc/self/maps", "r", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line and ".so" in line}
+    except OSError:
+        return ()
+    getters = []
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                getters.append((os.path.basename(path), fn))
+                break
+    return tuple(getters)
+
+
+def _environment() -> dict:
+    """What fixes the result bytes besides the config and the inputs: numpy,
+    its BLAS, and the thread count each loaded OpenBLAS reports now."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas_name": blas.get("name"),
+            "blas_version": blas.get("version"),
+            "blas_threads": {name: fn() for name, fn in _blas_thread_getters()}}
 
 
 def emit_table(header: Sequence[str], rows: Sequence[Sequence], path: str) -> None:
@@ -124,14 +159,16 @@ def _write_run_record(config: dict, inputs: list[str], wall: float) -> None:
     out = config["out"]
     if out is None:
         return
-    config_json = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    hashed = "\n".join([config_json, *inputs])  # the bare config JSON when nothing is read
+    env = _environment()
+    hashed = "\n".join([json.dumps(part, sort_keys=True, separators=(",", ":"))
+                        for part in (config, env)] + inputs)
     record = RunRecord(
         config_hash=hashlib.sha256(hashed.encode("utf-8")).hexdigest(),
         version=__version__,
         wall_time_s=wall,
         result_path=out,
         config=config,
+        env=env,
         input_sha256=inputs,
         result_sha256=_file_sha256(out),
     )

@@ -30,7 +30,7 @@ independent evaluators stay as its oracles:
   c_d = sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2)) (pi/2, 1, pi/4 for
   d = 1, 2, 3): series = c_d * lambda_j;
 * a quadrature route: the Funk-Hecke pairing of the kernel profile with the
-  normalized zonal function, one three-term recurrence at every d (no scipy),
+  normalized zonal function, one three-term recurrence at every d,
   run once over the nodes of both first Gauss-Legendre rules. It stops on
   absolute agreement, so it matches lambda_j to about 1e-9 absolute: below
   that, neither the sign nor the relative size of its value is resolved.
@@ -47,10 +47,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-# scipy.special is imported inside the functions that use it: the import
-# alone costs a few tenths of a second and about 20 MB, and only the
-# series and the even-d closed form need it. Quadrature and the odd-d closed
-# form (circle and torus limit maps, odd-d asymptotics) are plain floats.
+# Every evaluator here is plain floats and Python integers, with no
+# scipy: importing scipy.special alone costs a few tenths of a second and
+# about 20 MB in every fresh process.
 
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
@@ -119,12 +118,48 @@ def coeff(kind: str, n: int) -> SignedLog:
 
 
 # ---------------------------------------------------------------------------
+# Log-gamma in plain floats
+
+# Stirling series of ln Gamma(x) - (x - 1/2)(ln x - 1) - ln(2 pi)/2, in powers
+# of 1/x^2 after a factor 1/x; the first omitted term is below 1.2e-16 at x = 16.
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
+_STIRLING_FROM = 16.0
+
+
+def _odd_power_series(coeffs: Sequence[float], r):
+    """sum_i coeffs[i] r^(2i+1), by Horner's rule in r^2; r a float or an array."""
+    r2 = r * r
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * r2 + c
+    return acc * r
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """ln |Gamma(x)| elementwise, +inf at the poles 0, -1, -2, ...: the Stirling
+    series from x = 16, ``math.lgamma`` per element below. Within 2e-15 of
+    max(1, |ln Gamma|) on (0, 1e6]."""
+    x = np.asarray(x, dtype=float)
+    big = np.maximum(x, _STIRLING_FROM)
+    out = ((big - 0.5) * (np.log(big) - 1.0)
+           + (0.5 * math.log(2.0 * math.pi) - 0.5 + _odd_power_series(_STIRLING, 1.0 / big)))
+    small = x < _STIRLING_FROM
+    if small.any():
+        out[small] = [math.inf if v <= 0.0 and v == math.floor(v) else math.lgamma(v)
+                      for v in x[small].tolist()]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Unimodal positive series summation with Euler-Maclaurin tail estimate
 
 
-@lru_cache(maxsize=256)
+# Every rule a degree sweep builds has an even node count between 64 and the
+# cap, so this bound holds all of them and no sweep order rebuilds a rule; a
+# sweep over every degree up to the cap holds about 42 MB of rules.
+@lru_cache(maxsize=QUAD_MAX_NODES // 2)
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [-1, 1], cached per node count (256 latest); shared, so read-only."""
+    """Gauss-Legendre rule on [-1, 1], cached per node count; shared, so read-only."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     x.setflags(write=False)
     w.setflags(write=False)
@@ -141,14 +176,14 @@ def _em_tail_over_partial(log_term: Callable[[np.ndarray], np.ndarray], s_start:
     """
     x, w = _gauss_legendre(64)
     v = 0.5 * (x + 1.0)
-    t = s_start / v**2
-    vals = np.exp(log_term(t) - log_partial) * (2.0 * s_start / v**3)
-    integral = 0.5 * float(w @ vals)
-    f0 = float(np.exp(log_term(np.array([s_start]))[0] - log_partial))
     h = 1e-3
-    lp = float(log_term(np.array([s_start + h]))[0])
-    lm = float(log_term(np.array([s_start - h]))[0])
-    dlog = (lp - lm) / (2.0 * h)
+    # one summand call for the nodes and the three end points: per-call costs
+    # dominate on arrays this small
+    lt = log_term(np.append(s_start / v**2, (s_start, s_start + h, s_start - h)))
+    vals = np.exp(lt[:-3] - log_partial) * (2.0 * s_start / v**3)
+    integral = 0.5 * float(w @ vals)
+    f0 = math.exp(float(lt[-3]) - log_partial)
+    dlog = float(lt[-2] - lt[-1]) / (2.0 * h)
     return integral + 0.5 * f0 - f0 * dlog / 12.0
 
 
@@ -163,8 +198,6 @@ def _sum_unimodal(log_term: Callable[[np.ndarray], np.ndarray], tol: float,
     successive totals agree to ``tol`` in log. Raises
     :class:`ToleranceNotReached` if the budget runs out first.
     """
-    from scipy.special import logsumexp
-
     log_sum = -math.inf
     peak = -math.inf
     prev_total: Optional[float] = None
@@ -173,8 +206,9 @@ def _sum_unimodal(log_term: Callable[[np.ndarray], np.ndarray], tol: float,
     while s0 < budget:
         hi = min(s0 + block, budget)
         lt = log_term(np.arange(s0, hi, dtype=float))
-        log_sum = float(np.logaddexp(log_sum, logsumexp(lt)))
-        peak = max(peak, float(lt.max()))
+        top = float(lt.max())  # log-sum-exp shifted by the block maximum
+        log_sum = float(np.logaddexp(log_sum, top + math.log(float(np.exp(lt - top).sum()))))
+        peak = max(peak, top)
         if lt[-1] < peak:
             tail_ratio = _em_tail_over_partial(log_term, float(hi), log_sum)
             total = log_sum + math.log1p(max(tail_ratio, 0.0))
@@ -199,15 +233,13 @@ def _series_log_term(d: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
     constant coefficient's, pi^(5/2) / (16 Gamma((d+1)/2)). Real s are
     accepted, for the tail integral.
     """
-    from scipy.special import gammaln
-
     def log_term(s: np.ndarray) -> np.ndarray:
         return (
             0.5 * LNPI
             - math.log(8.0)
-            + 2.0 * gammaln(s + j / 2.0)
-            - gammaln(s + j + (d + 1.0) / 2.0)
-            - gammaln(s + 1.0)
+            + 2.0 * _lgamma(s + j / 2.0)
+            - _lgamma(s + j + (d + 1.0) / 2.0)
+            - _lgamma(s + 1.0)
         )
 
     if j > 0:
@@ -233,8 +265,6 @@ def eigenvalue_series(d: int, j: int, tol: float = 1e-9) -> float:
     and must be positive and finite; at the default the value is accurate to
     about 1e-9 relative. It reads no closed form.
     """
-    from scipy.special import gammaln
-
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
     if j < 0:
@@ -243,7 +273,7 @@ def eigenvalue_series(d: int, j: int, tol: float = 1e-9) -> float:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     sign = 1.0 if j % 2 == 1 else -1.0
     log_sum = _sum_unimodal(_series_log_term(d, j), tol)
-    return sign * math.exp(float(gammaln(d / 2.0)) + log_sum)
+    return sign * math.exp(math.lgamma(d / 2.0) + log_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -350,33 +380,65 @@ def eigenvalue_closed(d: int, j: int) -> float:
 
         (-1)^(j+1) [Gamma((d+1)/2) Gamma(j/2) / (2 Gamma((j+d+1)/2))]^2,
 
-    with the ratio Gamma(j/2) / Gamma((j+d+1)/2) taken as one Pochhammer
-    symbol, 1 / (j/2)_{(d+1)/2}, so it does not cancel at large j (1/j^2 with
-    alternating sign on the circle, ~ j^{-d-1} in general). Up to d = 189
-    the symbol overflows only where lambda_j underflows anyway; larger d
-    raise ``ValueError``.
+    with the ratio Gamma(j/2) / Gamma((j+d+1)/2) never formed from two
+    log-gammas, so it does not cancel at large j (1/j^2 with alternating sign
+    on the circle, ~ j^{-d-1} in general). Dimensions above 189 raise
+    ``ValueError``. No scipy at any d.
 
     At odd d the order m = (d+1)/2 is an integer: Gamma(m) = (m-1)! is
-    exact and correctly rounded to a float, and (j/2)_m is the finite
-    product (j/2 + m-1) ... (j/2), multiplied from the top factor down as
-    scipy's ``poch`` does, so circle and torus runs need no scipy. Up to
-    d = 49 this matches ``gamma`` and ``poch`` bit for bit; above, scipy's
-    ``gamma`` is not correctly rounded and the last bits differ. Even d
-    has half-integer order and uses scipy.special.
+    exact and correctly rounded to a float, and the ratio is one over the
+    Pochhammer symbol (j/2)_m, the finite product (j/2 + m-1) ... (j/2),
+    multiplied from the top factor down as scipy's ``poch`` does. Up to
+    d = 49 this matches scipy's ``gamma`` and ``poch`` bit for bit; above,
+    scipy's ``gamma`` is not correctly rounded and the last bits differ. Up
+    to d = 189 the product overflows only where lambda_j underflows anyway.
+    Even d has half-integer order; see ``_even_dimension_closed``.
     """
     if not 1 <= d <= 189:
         raise ValueError(f"the closed form covers sphere dimensions 1..189, got {d}")
     if j < 1:
         raise ValueError(f"the closed form needs degree >= 1, got {j}")
-    if d % 2 == 1:
-        m = (d + 1) // 2
-        rising = math.prod(j / 2.0 + i for i in reversed(range(m)))
-        root = float(math.factorial(m - 1)) / rising / 2.0
-    else:
-        from scipy.special import gamma, poch
+    sign = 1.0 if j % 2 == 1 else -1.0
+    if d % 2 == 0:
+        return sign * _even_dimension_closed(d, j)
+    m = (d + 1) // 2
+    rising = math.prod(j / 2.0 + i for i in reversed(range(m)))
+    root = float(math.factorial(m - 1)) / rising / 2.0
+    return sign * root * root
 
-        root = float(gamma((d + 1.0) / 2.0) / poch(j / 2.0, (d + 1.0) / 2.0) / 2.0)
-    return (1.0 if j % 2 == 1 else -1.0) * root * root
+
+# ln Gamma(x) - ln Gamma(x + 1/2) + (ln x) / 2 as an asymptotic series in
+# powers of 1/x^2 after a factor 1/x (coefficients (2 - 2^(1-n)) B_n / (n (n-1))
+# for n = 2, 4, ..., 10); from x = 32 the first omitted term is below 2e-19.
+_HALF_SHIFT = (1.0 / 8.0, -1.0 / 192.0, 1.0 / 640.0, -17.0 / 14336.0, 31.0 / 18432.0)
+_HALF_SHIFT_FROM_DEGREE = 64
+
+
+def _even_dimension_closed(d: int, j: int) -> float:
+    """|lambda_j| on S^d at even d = 2k, as one correctly rounded quotient of
+    Python integers (Python's int / int rounds correctly).
+
+    With x = j/2, Gamma(k + 1/2) = sqrt(pi) (2k-1)!! / 2^k and
+    Gamma(x + k + 1/2) = Gamma(x + 1/2) prod_{i<k} (j + 2i + 1) / 2, so the root
+    is q * rho with q = (2k-1)!! / (2 prod_{i<k} (j + 2i + 1)), exact, and
+    rho = sqrt(pi) Gamma(x) / Gamma(x + 1/2). Below degree 64, rho comes from
+    exact binomials: 4^n / (n C(2n, n)) at j = 2n and pi C(2n, n) / 4^n at
+    j = 2n + 1. From degree 64, rho^2 = (pi / x) exp(2 S(x)) with S the
+    series ``_HALF_SHIFT``. Only pi and exp(2 S) enter as floats, each taken
+    as its exact integer ratio, so lambda_j is within a few 1e-16 relative.
+    """
+    k = d // 2
+    num = math.prod(range(1, 2 * k, 2)) ** 2
+    den = (2 * math.prod(range(j + 1, j + 2 * k, 2))) ** 2
+    pi_num, pi_den = math.pi.as_integer_ratio()
+    if j < _HALF_SHIFT_FROM_DEGREE:
+        n = j // 2
+        c = math.comb(2 * n, n)
+        if j % 2 == 0:
+            return num * 16**n / (den * (n * c) ** 2)
+        return num * (c * pi_num) ** 2 / (den * (4**n * pi_den) ** 2)
+    e_num, e_den = math.exp(2.0 * _odd_power_series(_HALF_SHIFT, 2.0 / j)).as_integer_ratio()
+    return 2 * num * pi_num * e_num / (j * den * pi_den * e_den)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI: exit codes, determinism, config round-trip, claim registry."""
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import math
@@ -58,10 +59,11 @@ def registered_subparsers() -> dict:
     return cmds
 
 
-def config_hash(config: dict, inputs: tuple[str, ...] = ()) -> str:
-    """A run record's hash: sha256 of the compact sorted config JSON, then each
-    input file's sha256, one per line."""
-    text = "\n".join([json.dumps(config, sort_keys=True, separators=(",", ":")), *inputs])
+def config_hash(config: dict, env: dict, inputs: tuple[str, ...] = ()) -> str:
+    """A run record's hash: sha256 of the compact sorted config JSON, the compact
+    sorted env JSON, then each input file's sha256, one per line."""
+    text = "\n".join([json.dumps(part, sort_keys=True, separators=(",", ":"))
+                      for part in (config, env)] + list(inputs))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -118,7 +120,7 @@ class TestConfig:
             assert run(["space", "gen", "--space", "circle", "--n", n, "--out", str(out)]) == 0
             record = read_record(out)
             assert record["config"]["n"] == int(n)
-            assert record["config_hash"] == config_hash(record["config"])
+            assert record["config_hash"] == config_hash(record["config"], record["env"])
             hashes.append(record["config_hash"])
         assert hashes[0] != hashes[1] and hashes[0] == hashes[2]
 
@@ -354,10 +356,36 @@ class TestRun:
         assert record["version"]
         assert record["result_path"] == str(out)
         assert len(record["config_hash"]) == 64
-        # no input file: the hash is the config's own
+        # no input file: the hash is the config's and the environment's own
         assert record["input_sha256"] == []
-        assert record["config_hash"] == config_hash(record["config"])
+        assert record["config_hash"] == config_hash(record["config"], record["env"])
         assert record["result_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+        assert record["env"]["numpy"] == np.__version__
+        assert all(isinstance(n, int) and n >= 1 for n in record["env"]["blas_threads"].values())
+
+    def test_equal_hashes_mean_equal_bytes_across_blas_threads(self, tmp_path):
+        # A 300-point eigensolve differs in its last bits between one and two
+        # OpenBLAS threads; a hash that left the thread count out matched across
+        # the two runs while the result bytes did not.
+        assert run(["space", "gen", "--space", "sphere:2", "--mode", "random", "--n", "300",
+                    "--out", str(tmp_path / "s.csv")]) == 0
+        results = []
+        for threads in (1, 2):
+            cwd = tmp_path / f"threads{threads}"
+            cwd.mkdir()
+            fresh_python(textwrap.dedent(f"""
+                import os
+                os.environ["OPENBLAS_NUM_THREADS"] = "{threads}"
+                from mdslab.cli import run
+                assert run(["mds", "embed", "--input", "../s.csv", "--m", "3",
+                            "--out", "embed.csv"]) == 0
+                assert run(["mds", "krein", "--input", "../s.csv", "--out", "krein.csv"]) == 0
+            """), cwd=cwd)
+            results.append({name: (read_record(cwd / name)["config_hash"], (cwd / name).read_bytes())
+                            for name in ("embed.csv", "krein.csv")})
+        for name in ("embed.csv", "krein.csv"):
+            (hash1, table1), (hash2, table2) = results[0][name], results[1][name]
+            assert hash1 != hash2 or table1 == table2, name
 
     @pytest.mark.parametrize("command", ["mds embed", "mds krein", "product check"])
     def test_config_hash_covers_input_contents(self, tmp_path, command):
@@ -617,7 +645,7 @@ class TestRun:
         assert run(["mds", "embed", "--input", str(space), "--m", "2", "--out", str(space)]) == 0
         record = read_record(space)
         assert record["input_sha256"] == [read]
-        assert record["config_hash"] == config_hash(record["config"], (read,))
+        assert record["config_hash"] == config_hash(record["config"], record["env"], (read,))
         assert record["result_sha256"] == hashlib.sha256(space.read_bytes()).hexdigest() != read
 
     def test_cached_parser_keeps_no_state_between_runs(self, capsys):
@@ -655,32 +683,52 @@ class TestRun:
                 "print([m in sys.modules for m in ('scipy.spatial', 'scipy.sparse.csgraph')])")
         assert fresh_python(code).strip() == "[False, False]"
 
-    def test_scipy_special_loaded_only_by_spectral_commands(self, tmp_path):
-        # sphere_spectral imports scipy.special inside the functions that
-        # use it, so import and space gen never load it. mds embed does,
-        # through scipy.spatial.distance in the exact triangle check of its
-        # input file, which also loads scipy.sparse.
+    def test_scipy_special_loaded_only_by_validation(self, tmp_path):
+        # No sphere command loads scipy.special, at even d and by the series
+        # included. mds embed does, through scipy.spatial.distance in the
+        # exact triangle check of its input file, which also loads scipy.sparse.
         code = textwrap.dedent("""
             import json, sys
             from mdslab.cli import run
             seen = lambda: ["scipy.special" in sys.modules, "scipy.sparse" in sys.modules]
             out = [seen()]
-            assert run(["space", "gen", "--space", "circle", "--n", "8", "--out", "c.csv"]) == 0
-            out.append(seen())
-            assert run(["mds", "embed", "--input", "c.csv", "--m", "2", "--out", "e.csv"]) == 0
-            out.append(seen()[:1])
-            assert run(["sphere", "eigen", "--dim", "1", "--degree", "3",
-                        "--method", "quadrature"]) == 0
-            out.append(seen()[:1])
+            for argv in (
+                ["space", "gen", "--space", "circle", "--n", "8", "--out", "c.csv"],
+                ["sphere", "eigen", "--dim", "2", "--degree", "3", "--method", "series"],
+                ["sphere", "asymptotics", "--dim", "2", "--nmin", "1", "--nmax", "20",
+                 "--out", "a2.csv"],
+                ["mds", "embed", "--input", "c.csv", "--m", "2", "--out", "e.csv"],
+            ):
+                assert run(argv) == 0
+                out.append(seen())
             print(json.dumps(out))
         """)
         seen = json.loads(fresh_python(code, cwd=tmp_path).splitlines()[-1])
-        assert seen == [[False, False], [False, False], [True], [True]]
+        assert seen == [[False, False]] * 4 + [[True, True]]
+
+    def test_only_scipy_import_is_the_triangle_check(self):
+        # every other module and function runs on numpy and the standard library
+        found = []
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Import):
+                    modules = [alias.name for alias in child.names]
+                else:
+                    modules = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+                if any(m.split(".")[0] == "scipy" for m in modules):
+                    found.append(where)
+                is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                visit(child, (where[0], child.name) if is_def else where)
+
+        for path in sorted(Path(mdslab.__file__).resolve().parent.rglob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), (path.name, None))
+        assert found == [("spaces.py", "_check_triangle")]
 
     def test_circle_torus_and_odd_asymptotics_load_no_scipy(self, tmp_path):
-        # At odd d the closed form is a factorial over a finite product, so
-        # the circle and torus limit maps and odd-d scans need no scipy;
-        # even d has half-integer order and loads scipy.special.
+        # At odd d the closed form is a factorial over a finite product, at
+        # even d a quotient of Python integers, so the circle and torus limit
+        # maps and the scans at either parity load no scipy.
         code = textwrap.dedent("""
             import json, sys
             from mdslab.cli import run
@@ -698,22 +746,28 @@ class TestRun:
             out = [scipy()]
             assert run(["sphere", "asymptotics", "--dim", "2", "--nmin", "1", "--nmax", "20",
                         "--out", "a2.csv"]) == 0
-            out.append("scipy.special" in sys.modules)
+            out.append(scipy())
             print(json.dumps(out))
         """)
         seen = json.loads(fresh_python(code, cwd=tmp_path).splitlines()[-1])
-        assert seen == [[], True]
+        assert seen == [[], []]
 
     def test_quadrature_eigen_loads_no_scipy(self, tmp_path):
-        # the quadrature route is plain floats at every d; only the series needs scipy
+        # both oracles and the snowflake identity are plain floats at every d
         code = textwrap.dedent("""
             import json, sys
+            import numpy as np
             from mdslab.cli import run
+            from mdslab.sphere_spectral import snowflake_identity_error
             codes = [run(["sphere", "eigen", "--dim", d, "--degree", "5", "--method",
-                          "quadrature", "--out", f"q{d}.csv"]) for d in ("2", "3")]
+                          method, "--out", f"{method}{d}.csv"])
+                     for d in ("2", "3") for method in ("quadrature", "series")]
+            pts = np.random.default_rng(0).standard_normal((5, 2, 3))
+            pts /= np.linalg.norm(pts, axis=2, keepdims=True)
+            assert snowflake_identity_error(2, 99, [(p[0], p[1]) for p in pts]) <= 0.05
             print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
         """)
-        assert json.loads(fresh_python(code, cwd=tmp_path).splitlines()[-1]) == [[0, 0], []]
+        assert json.loads(fresh_python(code, cwd=tmp_path).splitlines()[-1]) == [[0] * 4, []]
 
     def test_default_torus_sweep_runs_without_scipy(self, tmp_path):
         # Every row decomposes one n-point circle grid, so the default sizes

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -21,6 +22,7 @@ from mdslab.sphere_spectral import (
     QuadratureNotConverged,
     ToleranceNotReached,
     _gauss_legendre,
+    _lgamma,
     _zonal_values,
     _series_log_term,
     _sum_unimodal,
@@ -193,6 +195,24 @@ class TestSeriesEvaluator:
                 got = float(log_term(np.array([float(s)]))[0])
                 assert abs(got - route) <= 8 * eps * max(1.0, gammaln(2 * s + j + 1)), (j, s)
 
+    def test_lgamma_matches_mpmath(self):
+        # scipy's gammaln reaches 4.4e-16 on this grid
+        rng = np.random.default_rng(7)
+        x = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 1500)),
+                            rng.uniform(0.0, 40.0, 500), np.arange(1, 81) / 2.0,
+                            [15.999999999999998, 16.0, 1e6]])
+        x = x[x > 0.0]
+        with mpmath.workdps(40):
+            expect = np.array([float(mpmath.loggamma(mpmath.mpf(float(v)))) for v in x])
+        err = np.abs(_lgamma(x) - expect) / np.maximum(1.0, np.abs(expect))
+        assert err.max() <= 2e-15, x[np.argmax(err)]
+
+    def test_lgamma_poles_are_infinite(self):
+        got = _lgamma(np.array([0.0, -1.0, -7.0, -0.5, 1.0, 2.0]))
+        assert got[:3].tolist() == [math.inf] * 3
+        assert got[3] == pytest.approx(math.lgamma(-0.5), rel=1e-15)
+        assert got[4:].tolist() == [0.0, 0.0]
+
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 5), j=st.integers(1, 99))
     def test_matches_closed_form_at_default_tol(self, d, j):
@@ -311,6 +331,25 @@ class TestQuadrature:
         # relative size of the quadrature value is resolved (here -4.5e-42 for
         # +7.6e-56, +2.5e-30 for -3.4e-35, and 1.7e-5 relative)
         assert abs(eigenvalue_quadrature(d, j) - eigenvalue_closed(d, j)) <= QUAD_TOL_FUNK
+
+    def test_rule_cache_holds_a_whole_sweep(self, monkeypatch):
+        # a 256-rule bound rebuilt every rule when the sweep ran d outermost
+        # (1,068 misses against 268 over d <= 8, j < 200). All-zero rules stand
+        # in for leggauss: every value is 0, so each degree settles at the first
+        # doubling and asks for the rules it would ask for anyway.
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda nodes: (np.zeros(nodes), np.zeros(nodes)))
+        cases = [(d, j) for d in (2, 3) for j in range(200)]
+        misses = []
+        try:
+            for order in (cases, sorted(cases, key=lambda c: c[::-1])):
+                _gauss_legendre.cache_clear()
+                for d, j in order:
+                    eigenvalue_quadrature(d, j)
+                misses.append(_gauss_legendre.cache_info().misses)
+        finally:
+            _gauss_legendre.cache_clear()  # drop the stand-in rules
+        assert misses[0] == misses[1] == 268
 
     def test_cached_rule_is_read_only(self):
         x, w = _gauss_legendre(128)
@@ -481,6 +520,38 @@ class TestClosedForm:
                     root = mpmath.gamma(half) * mpmath.gamma(x) / (2 * mpmath.gamma(x + half))
                     exact = float((-1) ** (j + 1) * root**2)
                     assert eigenvalue_closed(d, j) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_even_dimension_matches_mpmath(self):
+        # exact binomials below degree 64, the half-shift series from there; scipy's
+        # poch was 5.6e-13 off at j = 999. Below the smallest normal float the value
+        # is within one subnormal unit.
+        tiny = mpmath.mpf(2) ** -1074
+        with mpmath.workdps(40):
+            for d in range(2, 189, 2):
+                half = mpmath.mpf(d + 1) / 2
+                for j in [*range(1, 322), 999, 2001, 20001]:
+                    x = mpmath.mpf(j) / 2
+                    root = mpmath.gamma(half) * mpmath.gamma(x) / (2 * mpmath.gamma(x + half))
+                    exact = (-1) ** (j + 1) * root**2
+                    err = abs(eigenvalue_closed(d, j) - exact)
+                    assert err <= max(mpmath.mpf(1e-15) * abs(exact), tiny), (d, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 30).map(lambda k: 2 * k), j=st.integers(1, 20001))
+    def test_even_dimension_two_step_ratio(self, d, j):
+        # Gamma(x + 1) = x Gamma(x): lambda_{j+2} / lambda_j = (j / (j + d + 1))^2;
+        # every lambda in this range is a normal float
+        lam, lam_next = eigenvalue_closed(d, j), eigenvalue_closed(d, j + 2)
+        expect = (j / (j + d + 1.0)) ** 2
+        assert abs(lam_next / lam / expect - 1.0) <= 8 * np.finfo(float).eps
+
+    def test_even_dimension_time(self):
+        # the d = 2 truncation-bound sum; exact binomials at every degree are
+        # big-integer work that grows with j, so large j take the asymptotic series
+        start = time.perf_counter()
+        for j in range(1, 20002, 2):
+            eigenvalue_closed(2, j)
+        assert time.perf_counter() - start < 1.0
 
     @settings(max_examples=300, deadline=None)
     @given(d=st.integers(0, 24).map(lambda k: 2 * k + 1), j=st.integers(1, 10**5))
