@@ -34,6 +34,10 @@ independent evaluators stay as its oracles:
   run once over the nodes of both first Gauss-Legendre rules. It stops on
   absolute agreement, so it matches lambda_j to about 1e-9 absolute: below
   that, neither the sign nor the relative size of its value is resolved.
+  The rules come from Newton's method on the Legendre recurrence (the same
+  zonal recurrence at d = 2), with no eigenproblem: O(nodes) memory, nodes
+  within 1e-16 absolute and weights within about 1e-14 relative
+  (background: Hale and Townsend, SIAM J. Sci. Comput. 2013).
 
 At odd degree j = 2n + 1, ``theta(d, n, s)`` is theta_j(s); it and its peak
 stay exposed for the decay analysis.
@@ -41,6 +45,7 @@ stay exposed for the decay analysis.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
@@ -56,9 +61,16 @@ LNPI = math.log(math.pi)
 
 SERIES_TERM_BUDGET = 10**7
 QUAD_TOL_FUNK = 1e-9
-# Largest Gauss-Legendre rule: leggauss eigensolves a dense nodes x nodes
-# matrix, seconds at 4096 nodes and minutes at 8192.
+# Largest Gauss-Legendre rule. A rule costs O(nodes^2) flops and O(nodes)
+# memory to build, so the cap bounds the rule cache below, and with it the
+# quadrature degree (<= 1024).
 QUAD_MAX_NODES = 4096
+# Newton passes per rule: from Tricomi's nodes four settle every size up to
+# the cap, three from 20 nodes on; the bound only ends a loop that would not
+# settle. A last step dx below the tolerance leaves the node off by at most
+# (n^2 / 6) dx^2, below 3e-22 at the cap.
+_NEWTON_STEPS = 10
+_NEWTON_TOL = 1e-14
 
 
 class ToleranceNotReached(RuntimeError):
@@ -151,19 +163,54 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Unimodal positive series summation with Euler-Maclaurin tail estimate
+# Gauss-Legendre rules
 
 
 # Every rule a degree sweep builds has an even node count between 64 and the
 # cap, so this bound holds all of them and no sweep order rebuilds a rule; a
 # sweep over every degree up to the cap holds about 42 MB of rules.
 @lru_cache(maxsize=QUAD_MAX_NODES // 2)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [-1, 1], cached per node count; shared, so read-only."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1], nodes ascending; cached per n
+    and shared, so read-only.
+
+    Newton's method on P_n, from Tricomi's approximate nodes, for the nodes in
+    [0, 1) at once; the others are their mirror images, so an odd rule has an
+    exact 0. P_{n-1} and P_n come from ``_zonal_values`` (the zonal functions
+    of S^2 are the Legendre polynomials), and P_n' = n (P_{n-1} - x P_n) / (1 - x^2).
+    The weight 2 / ((1 - x^2) P_n'(x)^2) is taken at the last iterate x and
+    carried to the root x - dx to first order, by the factor
+    1 + 2 x dx / (1 - x^2), so it does not inherit the rounding of the node.
+    O(n^2) flops and O(n) memory: no n x n array.
+    """
+    theta = math.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
+    x = np.cos(theta) * (1.0 - (n - 1.0) / (8.0 * n**3)
+                         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4))
+    if n % 2:
+        x[-1] = 0.0
+    for _ in range(_NEWTON_STEPS):
+        p_prev, p = deque(_zonal_values(2, n, x), maxlen=2)
+        s = (1.0 - x) * (1.0 + x)  # 1 - x^2 with no cancellation near x = 1
+        dp = n * (p_prev - x * p) / s
+        dx = p / dp
+        if n % 2:
+            dx[-1] = 0.0  # the recurrence leaves rounding noise in P_n(0)
+        if np.abs(dx).max() <= _NEWTON_TOL:
+            break
+        x = x - dx
+    else:
+        raise QuadratureNotConverged(f"Newton's method for the {n}-node rule did not settle")
+    w = 2.0 / (s * dp * dp) * (1.0 + 2.0 * x * dx / s)
+    x = x - dx
+    x = np.concatenate([-x[: n // 2], x[::-1]])
+    w = np.concatenate([w[: n // 2], w[::-1]])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+# ---------------------------------------------------------------------------
+# Unimodal positive series summation with Euler-Maclaurin tail estimate
 
 
 def _em_tail_over_partial(log_term: Callable[[np.ndarray], np.ndarray], s_start: float,

@@ -323,10 +323,14 @@ class TestRun:
 
     @pytest.mark.parametrize("kind", ["full", "snowflake"])
     def test_quadrature_high_dimension_exit_0(self, capsys, kind):
-        # the zonal recurrence stays in [-1, 1]: no C_j^nu(1) to overflow at d = 400
+        # the zonal recurrence stays in [-1, 1]: no C_j^nu(1) to overflow at d = 400;
+        # the first doubling settles, so the command builds two rules, of 2,000
+        # and 4,000 nodes
+        mdslab.sphere_spectral._gauss_legendre.cache_clear()
         assert run(["sphere", "eigen", "--dim", "400", "--degree", "1000",
                     "--method", "quadrature", "--kind", kind]) == 0
         assert "error" not in capsys.readouterr().err
+        assert mdslab.sphere_spectral._gauss_legendre.cache_info().misses == 2
 
     def test_space_gen_krein_roundtrip(self, tmp_path, capsys, monkeypatch):
         space_csv = tmp_path / "circle.csv"

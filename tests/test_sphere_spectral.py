@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -172,7 +173,7 @@ class TestSeriesEvaluator:
         assert count_series_terms(monkeypatch, 2, 41) < 4_000
 
     def test_first_block_accuracy_grid(self):
-        # worst relative error 4.9e-10, at (1, 400); first blocks of 512 or 2,048
+        # worst relative error 4.9e-10, at (1, 401); first blocks of 512 or 2,048
         # terms reach 1.5e-9 on this grid
         for d in (1, 2, 3, 5, 8, 12):
             for j in [*range(1, 100, 7), 150, 200, 300, 400, 401]:
@@ -220,6 +221,80 @@ class TestSeriesEvaluator:
                                                         rel=1e-9, abs=0.0)
 
 
+def legendre_rule_oracle(n: int) -> list[tuple[mpmath.mpf, mpmath.mpf]]:
+    """The nodes in [0, 1) of the n-node Gauss-Legendre rule, descending, with their
+    weights, at 30 digits: Newton's method on the three-term recurrence from
+    cos(pi (4k - 1) / (4n + 2)), each root's own start, until the step is below 1e-28."""
+    rule = []
+    with mpmath.workdps(30):
+        for k in range(1, (n + 1) // 2 + 1):
+            x = mpmath.cos(mpmath.pi * (4 * k - 1) / (4 * n + 2))
+            for _ in range(50):
+                p_prev, p = mpmath.mpf(1), x
+                for i in range(1, n):
+                    p_prev, p = p, ((2 * i + 1) * x * p - i * p_prev) / (i + 1)
+                dp = n * (p_prev - x * p) / (1 - x * x)
+                step = p / dp
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -28:
+                    break
+            else:
+                raise AssertionError(f"oracle Newton did not settle at node {k} of {n}")
+            rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return rule
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [64, 65, 201])
+    def test_matches_mpmath_newton(self, n):
+        # a dense eigenproblem's weights are 3.1e-11 off at n = 201; these are
+        # within 5.3e-15
+        x, w = _gauss_legendre(n)
+        for (node, weight), got_x, got_w in zip(legendre_rule_oracle(n), x[::-1], w[::-1]):
+            assert abs(got_x - node) <= 2.3e-16, (n, got_x)
+            assert abs(got_w / weight - 1) <= 1e-12, (n, got_x)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 201])
+    def test_mirror_order_and_sum(self, n):
+        x, w = _gauss_legendre(n)
+        assert x.size == w.size == n
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        if n % 2:
+            assert x[n // 2] == 0.0 and math.copysign(1.0, x[n // 2]) == 1.0
+        # the exact sum of the float weights, free of the summation's own rounding:
+        # 8.9e-16 off at n = 65; the weights are each good to a few 1e-15, so some
+        # sizes below 600 reach 1.8e-15
+        assert abs(math.fsum(w) - 2.0) <= 1e-15
+
+    def test_largest_rule_builds_in_linear_memory(self):
+        # a dense eigenproblem at 4,096 nodes peaks at 135 MB under tracemalloc
+        tracemalloc.start()
+        try:
+            x, w = _gauss_legendre.__wrapped__(QUAD_MAX_NODES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        assert x.size == QUAD_MAX_NODES and abs(math.fsum(w) - 2.0) <= 1e-14
+
+    def test_newton_passes_per_rule(self, monkeypatch):
+        # each pass is one O(n^2) recurrence; from Tricomi's nodes three settle
+        # every rule from 20 nodes on, four the smaller ones
+        passes = []
+        zonal_values = mdslab.sphere_spectral._zonal_values
+
+        def counting_zonal(*args):
+            passes.append(args[1])
+            return zonal_values(*args)
+
+        monkeypatch.setattr(mdslab.sphere_spectral, "_zonal_values", counting_zonal)
+        for n in (2, 19, 20, 201, 1000, QUAD_MAX_NODES):
+            passes.clear()
+            _gauss_legendre.__wrapped__(n)
+            assert passes == [n] * (4 if n < 20 else 3), n
+
+
 class TestQuadrature:
     def test_circle_fourier_values(self):
         assert eigenvalue_quadrature(1, 1, "full") == pytest.approx(1.0, abs=1e-10)
@@ -247,11 +322,11 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_cached_rule_gives_uncached_bits(self, d):
-        # the Funk-Hecke doubling loop re-run inline on fresh leggauss arrays
+        # the Funk-Hecke doubling loop re-run inline on rules from the uncached builder
         const = math.exp(math.lgamma((d + 1.0) / 2.0) - math.lgamma(d / 2.0)) / math.sqrt(math.pi)
         for j in (1, 7, 64, 99):
             def value_at(nodes):
-                x, w = np.polynomial.legendre.leggauss(nodes)
+                x, w = _gauss_legendre.__wrapped__(nodes)
                 phi = 0.5 * math.pi * (x + 1.0)
                 vals = (-0.5 * phi**2) * zonal_value(d, j, np.cos(phi)) \
                     * np.sin(phi) ** (d - 1)
@@ -328,28 +403,34 @@ class TestQuadrature:
     @pytest.mark.parametrize("d, j", [(189, 51), (20, 300), (8, 199)])
     def test_agrees_with_closed_form_to_absolute_tolerance(self, d, j):
         # the stop rule is absolute: below about 1e-9 neither the sign nor the
-        # relative size of the quadrature value is resolved (here -4.5e-42 for
-        # +7.6e-56, +2.5e-30 for -3.4e-35, and 1.7e-5 relative)
+        # relative size of the quadrature value is resolved (here -6.2e-42 for
+        # +7.6e-56, +1.6e-30 for -3.4e-35, and 2.4e-5 relative)
         assert abs(eigenvalue_quadrature(d, j) - eigenvalue_closed(d, j)) <= QUAD_TOL_FUNK
 
     def test_rule_cache_holds_a_whole_sweep(self, monkeypatch):
         # a 256-rule bound rebuilt every rule when the sweep ran d outermost
-        # (1,068 misses against 268 over d <= 8, j < 200). All-zero rules stand
-        # in for leggauss: every value is 0, so each degree settles at the first
-        # doubling and asks for the rules it would ask for anyway.
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                            lambda nodes: (np.zeros(nodes), np.zeros(nodes)))
+        # (1,068 misses against 268 over d <= 8, j < 200). All-zero rules, cached
+        # under the builder's own bound, stand in for the builder: every value is
+        # 0, so each degree settles at the first doubling and asks for the rules
+        # it would ask for anyway.
+        stand_in = lru_cache(maxsize=_gauss_legendre.cache_parameters()["maxsize"])(
+            lambda nodes: (np.zeros(nodes), np.zeros(nodes)))
+        monkeypatch.setattr(mdslab.sphere_spectral, "_gauss_legendre", stand_in)
         cases = [(d, j) for d in (2, 3) for j in range(200)]
         misses = []
-        try:
-            for order in (cases, sorted(cases, key=lambda c: c[::-1])):
-                _gauss_legendre.cache_clear()
-                for d, j in order:
-                    eigenvalue_quadrature(d, j)
-                misses.append(_gauss_legendre.cache_info().misses)
-        finally:
-            _gauss_legendre.cache_clear()  # drop the stand-in rules
-        assert misses[0] == misses[1] == 268
+        for order in (cases, sorted(cases, key=lambda c: c[::-1])):
+            stand_in.cache_clear()
+            for d, j in order:
+                eigenvalue_quadrature(d, j)
+            misses.append(stand_in.cache_info().misses)
+        assert misses == [268, 268]
+
+    def test_matches_closed_form_far_below_the_stop_rule(self):
+        # the rule weights set this error: 8.8e-15 at d = 1 and 4.4e-16 above; the
+        # weights of a dense eigenproblem left 1.6e-13 at d = 1
+        for j in range(1, 201):
+            for d in (1, 2, 3, 5, 8):
+                assert abs(eigenvalue_quadrature(d, j) - eigenvalue_closed(d, j)) <= 5e-14, (d, j)
 
     def test_cached_rule_is_read_only(self):
         x, w = _gauss_legendre(128)
@@ -366,11 +447,21 @@ class TestQuadrature:
                 assert zonal_value(d, j, t)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_high_dimension_finite_without_warnings(self):
-        # d = 400, j = 1000: C_j^nu(1) would be far past the float range
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for kind in ("full", "snowflake"):
-                assert math.isfinite(eigenvalue_quadrature(400, 1000, kind))
+        # d = 400, j = 1000: C_j^nu(1) would be far past the float range. The
+        # 2,000- and 4,000-node rules are built here, in well under 8 MB; a dense
+        # eigenproblem for the 4,000-node rule alone peaks above 100 MB.
+        _gauss_legendre.cache_clear()
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for kind in ("full", "snowflake"):
+                    assert math.isfinite(eigenvalue_quadrature(400, 1000, kind))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _gauss_legendre.cache_info().misses == 2
+        assert peak <= 8 * 2**20
 
 
 def zonal_oracle(d: int, j: int, t: float) -> float:
