@@ -69,7 +69,7 @@ CLAIMS = {
     "mds embed": "double-centered spectral embedding; embedded distances dominate the input metric and reproduce it exactly on Euclidean-embeddable spaces",
     "mds krein": "signed spectral decomposition reconstructs squared distances exactly through the indefinite pair map",
     "sphere eigen": "sphere kernel eigenvalues: quadrature matches the closed form lambda_j to about 1e-9 absolute, the series gives c_d * lambda_j with c_d = sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2)) to about --tol relative; odd degrees are positive (for quadrature, where lambda_j is well above 1e-9)",
-    "sphere asymptotics": "the ground-truth positive eigenvalues lambda_{2n+1} decay like n^(-d-1): n^(d+1) lambda_{2n+1} tends to Gamma((d+1)/2)^2 / 4, with the series summand peaking at s = Theta(n^2)",
+    "sphere asymptotics": "the ground-truth positive eigenvalues lambda_{2n+1} decay like n^(-d-1): n^(d+1) lambda_{2n+1} tends to Gamma((d+1)/2)^2 / 4, so the normalized max/min ratio stays bounded",
     "stability converge": "circle and flat-torus grid embeddings converge to the analytic limit map after orthogonal alignment; the n-point circle grid embedding comes from one real DFT of its circulant kernel, and a torus:k row is that embedding once per factor, so its aligned residual is sqrt(k) times the circle's; every row adds a coupling-wise kernel-gap bound against a refined grid",
     "product check": "product spectra merge from factor spectra and squared embedding distances add across factors",
     "torus check": "flat torus embedding satisfies the snowflake identity pi * sum of factor distances; each factor is the circle grid embedding from one real DFT of its circulant kernel",
@@ -228,8 +228,7 @@ def _config_file_flags(path: str, command: str) -> list[str]:
 
 
 def _cmd_space_gen(args) -> None:
-    mode = "uniform_random" if args.mode == "random" else "grid"
-    fs = sample(parse_space(args.space), SampleSpec(mode=mode, n=args.n, seed=args.seed))
+    fs = sample(parse_space(args.space), SampleSpec(mode=args.mode, n=args.n, seed=args.seed))
     write_space_csv(fs, args.out)
     print(f"wrote {fs.n}-point space to {args.out}")
 

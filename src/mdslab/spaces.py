@@ -224,7 +224,7 @@ class SampleSpec:
     """How to draw a finite sample: deterministic grid or seeded uniform draws.
 
     For tori, ``n`` counts points per circle factor in grid mode and total
-    points in uniform_random mode.
+    points in random mode.
     """
 
     mode: str
@@ -232,7 +232,7 @@ class SampleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("grid", "uniform_random"):
+        if self.mode not in ("grid", "random"):
             raise ValueError(f"unknown sample mode {self.mode!r}")
         if self.n < 1:
             raise ValueError(f"sample size must be >= 1, got {self.n}")
@@ -283,9 +283,9 @@ def sample(space: AnalyticSpace, spec: SampleSpec) -> FiniteSpace:
 
     Grid mode is deterministic (seed-independent): the circle grid sits at
     angles 2*pi*i/n and torus grids are Cartesian products of circle grids.
-    uniform_random draws are reproducible from the seed; sphere draws are
-    normalized standard Gaussian vectors, which makes the law exactly
-    rotation invariant.
+    Random-mode draws are uniform and reproducible from the seed; sphere
+    draws are normalized standard Gaussian vectors, which makes the law
+    exactly rotation invariant.
     """
     rng = np.random.default_rng(spec.seed)
     D = _pairwise(space, spec.mode, spec.n, rng)

@@ -7,12 +7,13 @@ for j >= 1 the full kernel's eigenvalue is, in closed form,
 
     lambda_j = (-1)^(j+1) [Gamma((d+1)/2) Gamma(j/2) / (2 Gamma((j+d+1)/2))]^2
 
-(``eigenvalue_closed``; the snowflake kernel has lambda_j / pi at odd j and
-0 at even j >= 2; background: Schoenberg, "Positive definite functions on
-spheres", 1942). It is the normalization under which the truncated embedding
-satisfies ||M(x) - M(y)||^2 = pi * dist(x, y), and the only eigenvalue source
-of that identity, the n^{-d-1} decay scan and the circle limit map. Two
-independent evaluators stay as its oracles:
+(``eigenvalue_closed``, one quotient of Python integers at every d up to
+1000, so correctly rounded at odd d; the snowflake kernel has lambda_j / pi
+at odd j and 0 at even j >= 2; background: Schoenberg, "Positive definite
+functions on spheres", 1942). It is the normalization under which the
+truncated embedding satisfies ||M(x) - M(y)||^2 = pi * dist(x, y), and the
+only eigenvalue source of that identity, the n^{-d-1} decay scan and the
+circle limit map. Two independent evaluators stay as its oracles:
 
 * a power series: pairing the Taylor series of arccos^2 with the degree-j
   harmonic and simplifying by the duplication formula gives
@@ -422,38 +423,6 @@ def eigenvalue_quadrature(d: int, j: int, kind: str = "full") -> float:
         prev, (cur,) = cur, values_at(nodes)
 
 
-def eigenvalue_closed(d: int, j: int) -> float:
-    """Eigenvalue of the full kernel on degree-j harmonics of S^d, j >= 1:
-
-        (-1)^(j+1) [Gamma((d+1)/2) Gamma(j/2) / (2 Gamma((j+d+1)/2))]^2,
-
-    with the ratio Gamma(j/2) / Gamma((j+d+1)/2) never formed from two
-    log-gammas, so it does not cancel at large j (1/j^2 with alternating sign
-    on the circle, ~ j^{-d-1} in general). Dimensions above 189 raise
-    ``ValueError``. No scipy at any d.
-
-    At odd d the order m = (d+1)/2 is an integer: Gamma(m) = (m-1)! is
-    exact and correctly rounded to a float, and the ratio is one over the
-    Pochhammer symbol (j/2)_m, the finite product (j/2 + m-1) ... (j/2),
-    multiplied from the top factor down as scipy's ``poch`` does. Up to
-    d = 49 this matches scipy's ``gamma`` and ``poch`` bit for bit; above,
-    scipy's ``gamma`` is not correctly rounded and the last bits differ. Up
-    to d = 189 the product overflows only where lambda_j underflows anyway.
-    Even d has half-integer order; see ``_even_dimension_closed``.
-    """
-    if not 1 <= d <= 189:
-        raise ValueError(f"the closed form covers sphere dimensions 1..189, got {d}")
-    if j < 1:
-        raise ValueError(f"the closed form needs degree >= 1, got {j}")
-    sign = 1.0 if j % 2 == 1 else -1.0
-    if d % 2 == 0:
-        return sign * _even_dimension_closed(d, j)
-    m = (d + 1) // 2
-    rising = math.prod(j / 2.0 + i for i in reversed(range(m)))
-    root = float(math.factorial(m - 1)) / rising / 2.0
-    return sign * root * root
-
-
 # ln Gamma(x) - ln Gamma(x + 1/2) + (ln x) / 2 as an asymptotic series in
 # powers of 1/x^2 after a factor 1/x (coefficients (2 - 2^(1-n)) B_n / (n (n-1))
 # for n = 2, 4, ..., 10); from x = 32 the first omitted term is below 2e-19.
@@ -461,31 +430,48 @@ _HALF_SHIFT = (1.0 / 8.0, -1.0 / 192.0, 1.0 / 640.0, -17.0 / 14336.0, 31.0 / 184
 _HALF_SHIFT_FROM_DEGREE = 64
 
 
-def _even_dimension_closed(d: int, j: int) -> float:
-    """|lambda_j| on S^d at even d = 2k, as one correctly rounded quotient of
-    Python integers (Python's int / int rounds correctly).
+def eigenvalue_closed(d: int, j: int) -> float:
+    """Eigenvalue of the full kernel on degree-j harmonics of S^d, j >= 1:
 
-    With x = j/2, Gamma(k + 1/2) = sqrt(pi) (2k-1)!! / 2^k and
-    Gamma(x + k + 1/2) = Gamma(x + 1/2) prod_{i<k} (j + 2i + 1) / 2, so the root
-    is q * rho with q = (2k-1)!! / (2 prod_{i<k} (j + 2i + 1)), exact, and
-    rho = sqrt(pi) Gamma(x) / Gamma(x + 1/2). Below degree 64, rho comes from
-    exact binomials: 4^n / (n C(2n, n)) at j = 2n and pi C(2n, n) / 4^n at
-    j = 2n + 1. From degree 64, rho^2 = (pi / x) exp(2 S(x)) with S the
-    series ``_HALF_SHIFT``. Only pi and exp(2 S) enter as floats, each taken
-    as its exact integer ratio, so lambda_j is within a few 1e-16 relative.
+        (-1)^(j+1) [Gamma((d+1)/2) Gamma(j/2) / (2 Gamma((j+d+1)/2))]^2,
+
+    as one correctly rounded quotient of Python integers (Python's int / int
+    rounds correctly), so it neither cancels at large j (1/j^2 with
+    alternating sign on the circle, ~ j^{-d-1} in general) nor overflows.
+    Dimensions outside 1..1000 raise ``ValueError``: a cost bound, not an
+    accuracy one, as the integer products grow with d (on a 2-core x86 VM a
+    value takes about 0.3 ms at d = 1,001, 16 ms at 10,001 and 1.5 s at
+    100,001).
+
+    With x = j/2, the root is 1/j on S^1 and rho / (2 (j + 1)) on S^2, where
+    rho = sqrt(pi) Gamma(x) / Gamma(x + 1/2). Gamma(y + 1) = y Gamma(y) takes
+    the root from S^(e-2) to S^e by the factor (e - 1) / (j + e - 1), so at
+    every d it is an exact integer ratio, times rho at even d. Below degree
+    64, rho comes from exact binomials: 4^n / (n C(2n, n)) at j = 2n and
+    pi C(2n, n) / 4^n at j = 2n + 1. From degree 64, rho^2 = (pi / x) exp(2 S(x))
+    with S the series ``_HALF_SHIFT``. Only pi and exp(2 S) enter as floats,
+    each taken as its exact integer ratio, so odd-d values are correctly
+    rounded and even-d values are within a few 1e-16 relative.
     """
-    k = d // 2
-    num = math.prod(range(1, 2 * k, 2)) ** 2
-    den = (2 * math.prod(range(j + 1, j + 2 * k, 2))) ** 2
+    if not 1 <= d <= 1000:
+        raise ValueError(f"the closed form covers sphere dimensions 1..1000, got {d}")
+    if j < 1:
+        raise ValueError(f"the closed form needs degree >= 1, got {j}")
+    sign = 1.0 if j % 2 == 1 else -1.0
+    base = 2 - d % 2
+    num = math.prod(range(base + 1, d, 2)) ** 2
+    den = (math.prod(range(j + base + 1, j + d, 2)) * (j if base == 1 else 2 * (j + 1))) ** 2
+    if base == 1:
+        return sign * (num / den)
     pi_num, pi_den = math.pi.as_integer_ratio()
     if j < _HALF_SHIFT_FROM_DEGREE:
         n = j // 2
         c = math.comb(2 * n, n)
         if j % 2 == 0:
-            return num * 16**n / (den * (n * c) ** 2)
-        return num * (c * pi_num) ** 2 / (den * (4**n * pi_den) ** 2)
+            return sign * (num * 16**n / (den * (n * c) ** 2))
+        return sign * (num * (c * pi_num) ** 2 / (den * (4**n * pi_den) ** 2))
     e_num, e_den = math.exp(2.0 * _odd_power_series(_HALF_SHIFT, 2.0 / j)).as_integer_ratio()
-    return 2 * num * pi_num * e_num / (j * den * pi_den * e_den)
+    return sign * (2 * num * pi_num * e_num / (j * den * pi_den * e_den))
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +547,9 @@ class AsymptoticScan:
     normalization; bounded above and below iff the decay rate is n^{-d-1},
     and ``normalized`` tends to Gamma((d+1)/2)^2 / 4."""
 
-    d: int
     n_values: np.ndarray
     lam: np.ndarray
     normalized: np.ndarray
-    s_peaks: np.ndarray
 
     @property
     def ratio_bound(self) -> float:
@@ -586,5 +570,4 @@ def asymptotic_scan(d: int, n_values: Sequence[int]) -> AsymptoticScan:
         raise ValueError(f"lambda_{2 * n_bad + 1} of S^{d} (n = {n_bad}) is below the "
                          f"smallest normal float {tiny}")
     normalized = np.exp(np.log(lam) + (d + 1) * np.log(n_arr))
-    peaks = np.array([s_peak(d, int(n)) for n in n_arr])
-    return AsymptoticScan(d=d, n_values=n_arr, lam=lam, normalized=normalized, s_peaks=peaks)
+    return AsymptoticScan(n_values=n_arr, lam=lam, normalized=normalized)

@@ -443,6 +443,20 @@ class TestRun:
         assert "ValueError: lambda_3359 of S^189 (n = 1679)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_asymptotics_above_dimension_189_exit_0(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run(["sphere", "asymptotics", "--dim", "400", "--nmin", "1", "--nmax", "5",
+                    "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert rows.shape == (5, 3) and np.all(rows[:, 1:] > 0.0)
+
+    def test_asymptotics_dimension_above_1000_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert run(["sphere", "asymptotics", "--dim", "1001", "--nmin", "1", "--nmax", "5",
+                    "--out", str(out)]) == 2
+        assert "ValueError: the closed form covers sphere dimensions 1..1000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

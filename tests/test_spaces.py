@@ -203,11 +203,11 @@ class TestSampling:
             sample(Sphere(2), SampleSpec(mode="grid", n=10))
 
     def test_random_reproducible(self):
-        spec = SampleSpec(mode="uniform_random", n=20, seed=99)
+        spec = SampleSpec(mode="random", n=20, seed=99)
         a = sample(Sphere(2), spec)
         b = sample(Sphere(2), spec)
         assert np.array_equal(a.D, b.D)
-        c = sample(Sphere(2), SampleSpec(mode="uniform_random", n=20, seed=100))
+        c = sample(Sphere(2), SampleSpec(mode="random", n=20, seed=100))
         assert not np.array_equal(a.D, c.D)
 
     def test_grid_seed_independent(self):
@@ -417,13 +417,13 @@ def _circle_image(n: int, limit: bool):
 METRIC_BY_CONSTRUCTION = {
     "circle_grid_512": lambda: sample(Sphere(1), SampleSpec(mode="grid", n=512)),
     "sphere2_random_640": lambda: sample(
-        Sphere(2), SampleSpec(mode="uniform_random", n=640, seed=1)),
+        Sphere(2), SampleSpec(mode="random", n=640, seed=1)),
     "torus2_grid": lambda: sample(Torus(2), SampleSpec(mode="grid", n=16)),
     "snowflake_circle_0.5_grid": lambda: sample(
         Snowflake(Sphere(1), 0.5), SampleSpec(mode="grid", n=256)),
     "product_space": lambda: product_space(
         sample(Sphere(1), SampleSpec(mode="grid", n=20)),
-        sample(Sphere(2), SampleSpec(mode="uniform_random", n=32, seed=1))),
+        sample(Sphere(2), SampleSpec(mode="random", n=32, seed=1))),
     "image_space_embedding": lambda: _circle_image(256, limit=False),
     "image_space_limit_map": lambda: _circle_image(256, limit=True),
 }

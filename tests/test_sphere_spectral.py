@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gamma, gammaln, poch
+from scipy.special import gammaln
 
 import mdslab.sphere_spectral
 from mdslab.mds_core import spectral_embedding
@@ -54,6 +54,15 @@ def c_d(d: int) -> float:
     """Series-to-eigenvalue factor sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2))."""
     return math.exp(0.5 * math.log(math.pi) + gammaln(d / 2.0) - math.log(2.0)
                     - gammaln((d + 1.0) / 2.0))
+
+
+def mpmath_closed(d: int, j: int) -> float:
+    """lambda_j of S^d from 40-digit mpmath gammas, rounded to a float."""
+    with mpmath.workdps(40):
+        half = mpmath.mpf(d + 1) / 2
+        x = mpmath.mpf(j) / 2
+        root = mpmath.gamma(half) * mpmath.gamma(x) / (2 * mpmath.gamma(x + half))
+        return float((-1) ** (j + 1) * root**2)
 
 
 def count_series_terms(monkeypatch, d: int, j: int) -> int:
@@ -400,11 +409,13 @@ class TestQuadrature:
                     assert built == [max(64, 2 * j), 2 * max(64, 2 * j)]
                     assert passes == [(d, j)]
 
-    @pytest.mark.parametrize("d, j", [(189, 51), (20, 300), (8, 199)])
+    @pytest.mark.parametrize("d, j", [(189, 51), (20, 300), (8, 199),
+                                      *((d, j) for d in (190, 400, 999) for j in (1, 2, 3, 10, 51))])
     def test_agrees_with_closed_form_to_absolute_tolerance(self, d, j):
         # the stop rule is absolute: below about 1e-9 neither the sign nor the
         # relative size of the quadrature value is resolved (here -6.2e-42 for
-        # +7.6e-56, +1.6e-30 for -3.4e-35, and 2.4e-5 relative)
+        # +7.6e-56, +1.6e-30 for -3.4e-35, and 2.4e-5 relative); above d = 189
+        # the closed form is the oracle's reference too
         assert abs(eigenvalue_quadrature(d, j) - eigenvalue_closed(d, j)) <= QUAD_TOL_FUNK
 
     def test_rule_cache_holds_a_whole_sweep(self, monkeypatch):
@@ -645,43 +656,36 @@ class TestClosedForm:
         assert time.perf_counter() - start < 1.0
 
     @settings(max_examples=300, deadline=None)
-    @given(d=st.integers(0, 24).map(lambda k: 2 * k + 1), j=st.integers(1, 10**5))
-    def test_odd_dimension_product_matches_scipy_bits(self, d, j):
-        # At odd d the finite product and factorial replace scipy's poch and
-        # gamma; up to d = 49 the bytes are those of the scipy expression.
-        m = (d + 1.0) / 2.0
-        root = float(gamma(m) / poch(j / 2.0, m) / 2.0)
-        expected = (1.0 if j % 2 == 1 else -1.0) * root * root
-        assert eigenvalue_closed(d, j).hex() == expected.hex()
+    @given(d=st.integers(0, 499).map(lambda k: 2 * k + 1), j=st.integers(1, 10**5))
+    def test_odd_dimension_correctly_rounded(self, d, j):
+        # at odd d the value is one quotient of exact integers, so it is the
+        # 40-digit value rounded to a float, subnormals and zeros included
+        assert eigenvalue_closed(d, j) == mpmath_closed(d, j)
 
     def test_mpmath_gamma_ratio_large_odd_dimension(self):
-        # Above d = 49 the correctly rounded factorial differs from scipy's
-        # gamma in the last bits; both stay within 1e-12 of a 40-digit value.
-        with mpmath.workdps(40):
-            for d in range(51, 190, 2):
-                half = mpmath.mpf(d + 1) / 2
-                for j in (1, 2, 3, 10, 333, 2001):
-                    x = mpmath.mpf(j) / 2
-                    root = mpmath.gamma(half) * mpmath.gamma(x) / (2 * mpmath.gamma(x + half))
-                    exact = float((-1) ** (j + 1) * root**2)
-                    assert eigenvalue_closed(d, j) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        # the integer quotient is correctly rounded at every odd d
+        for d in range(51, 190, 2):
+            for j in (1, 2, 3, 10, 333, 2001):
+                assert eigenvalue_closed(d, j) == mpmath_closed(d, j), (d, j)
 
     def test_overflowed_symbol_keeps_sign(self):
-        # (j/2)_95 overflows at j = 10^6, so lambda is a zero with the even-degree sign
+        # lambda underflows at j = 10^6, to a zero with the even-degree sign
         assert eigenvalue_closed(189, 10**6).hex() == (-0.0).hex()
 
     def test_circle_first_degree_exact(self):
         assert eigenvalue_closed(1, 1) == 1.0
 
     def test_dimension_bound(self):
-        # up to d = 189 the Pochhammer symbol overflows only where lambda_j underflows
-        with mpmath.workdps(40):
-            half = mpmath.mpf(190) / 2
-            exact = float((mpmath.gamma(half) * mpmath.gamma(0.5) / (2 * mpmath.gamma(half + 0.5)))**2)
-        assert eigenvalue_closed(189, 1) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        # the bound caps the cost of the integer products, not their accuracy
+        assert eigenvalue_closed(189, 1) == mpmath_closed(189, 1)
         assert eigenvalue_closed(189, 3421) == 0.0  # 8.9e-326 underflows
-        with pytest.raises(ValueError):
-            eigenvalue_closed(190, 1)
+        for d in (190, 999):
+            for j in (1, 2, 3, 10, 51):
+                assert eigenvalue_closed(d, j) == pytest.approx(mpmath_closed(d, j), rel=1e-15,
+                                                                abs=0.0), (d, j)
+        assert eigenvalue_closed(1000, 1) > 0.0
+        with pytest.raises(ValueError, match="1..1000"):
+            eigenvalue_closed(1001, 1)
 
 
 class TestMultiplicity:
@@ -828,7 +832,8 @@ class TestAppendixAsymptotics:
         assert scan1.ratio_bound <= 5.0
         scan2 = asymptotic_scan(2, range(5, 16))
         assert scan2.ratio_bound <= 5.0
-        assert np.all(scan1.s_peaks[:-1] <= scan1.s_peaks[1:])
+        peaks = [s_peak(1, n) for n in range(5, 26)]
+        assert peaks == sorted(peaks)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_scan_normalized_limit(self, d):

@@ -3,7 +3,8 @@
 A ``src/`` import commented ``bench/tracer.py wraps this name`` keeps a name
 that its module no longer calls, so the tracer can still swap it. No linter
 flags such an import once the tracer stops wrapping the name there, so every
-name is checked against ``BOUNDARIES``.
+name is checked against ``BOUNDARIES``; and no linter flags an import nothing
+reads, so every unread import must carry the mark.
 """
 from __future__ import annotations
 
@@ -48,3 +49,23 @@ def test_every_tracer_only_import_is_wrapped():
     stale = [f"{where}: {attr}" for attr, mod, where in _tracer_only_imports()
              if (attr, mod) not in pairs]
     assert not stale, f"tracer-only imports the tracer does not wrap: {stale}"
+
+
+def test_every_unread_import_is_marked():
+    # the package root imports only to re-export, so it is left out
+    unread = []
+    for path in sorted((ROOT / "src" / "mdslab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                unread += [f"{path.name}:{alias.lineno}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in read
+                           and MARK not in lines[alias.lineno - 1]]
+    assert not unread, f"imports nothing reads: {unread}"
