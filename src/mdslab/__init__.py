@@ -8,54 +8,3 @@ couplings (``stability``), and merge product spectra (``products``). The
 """
 
 __version__ = "0.1.0"
-
-from .spaces import (
-    AnalyticSpace,
-    FiniteSpace,
-    SampleSpec,
-    Snowflake,
-    Sphere,
-    Torus,
-    finite_space_from_matrix,
-    fourth_moment_norm,
-    sample,
-)
-from .mds_core import (
-    CenteredOperator,
-    EmbeddingResult,
-    double_center,
-    eigendecompose,
-    embed,
-    embed_negative,
-    spectral_embedding,
-)
-from .sphere_spectral import (
-    AsymptoticScan,
-    asymptotic_scan,
-    coeff,
-    eigenvalue_closed,
-    eigenvalue_quadrature,
-    eigenvalue_series,
-    multiplicity,
-    s_peak,
-    snowflake_identity_error,
-    theta,
-)
-from .stability import (
-    AlignmentResult,
-    Coupling,
-    convergence_experiment,
-    coupling_nearest,
-    eigen_perturbation_check,
-    gw_cost,
-    hs_gap,
-    procrustes,
-    w4_circle_grid,
-)
-from .products import (
-    ProductPrediction,
-    predict_product_spectrum,
-    product_space,
-    torus_check,
-    verify_product_embedding,
-)

@@ -62,8 +62,7 @@ from .stability import convergence_experiment
 
 SEED_ENV_VAR = "MDSLAB_SEED"
 
-# Mathematical claim exercised by each subcommand, for the run records and
-# the registry completeness test.
+# Mathematical claim exercised by each subcommand, named in its run record.
 CLAIMS = {
     "space gen": "construction and validation of finite metric measure spaces, grid and seeded random sampling",
     "mds embed": "double-centered spectral embedding; embedded distances dominate the input metric and reproduce it exactly on Euclidean-embeddable spaces",
@@ -84,9 +83,12 @@ class ConfigError(ValueError):
 class RunRecord:
     """Provenance of one run; identical config hashes imply byte-identical
     result tables (wall time is informational only). The hash covers the
-    config JSON, the ``env`` JSON and the sha256 of every input file, in order."""
+    config JSON, the ``env`` JSON and the sha256 of every input file, in order.
+    ``claim`` is the command's entry in ``CLAIMS``; it stays out of the hash,
+    which promises bytes, not prose."""
 
     config_hash: str
+    claim: str
     version: str
     wall_time_s: float
     result_path: Optional[str]
@@ -164,6 +166,7 @@ def _write_run_record(config: dict, inputs: list[str], wall: float) -> None:
                         for part in (config, env)] + inputs)
     record = RunRecord(
         config_hash=hashlib.sha256(hashed.encode("utf-8")).hexdigest(),
+        claim=CLAIMS[config["command"]],
         version=__version__,
         wall_time_s=wall,
         result_path=out,

@@ -244,9 +244,7 @@ def _pairwise(space: AnalyticSpace, mode: str, n: int, rng: np.random.Generator)
             if space.d != 1:
                 raise GridUnsupported(f"no canonical grid on sphere({space.d})")
             theta = TWO_PI * np.arange(n) / n
-            D = _circle_arc(theta[:, None], theta[None, :])
-            np.fill_diagonal(D, 0.0)
-            return D
+            return _circle_arc(theta[:, None], theta[None, :])
         X = rng.standard_normal((n, space.d + 1))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         G = X @ X.T

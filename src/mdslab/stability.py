@@ -3,7 +3,7 @@
 Couplings between finite spaces, coupling-based distortion costs (upper
 bounds on the order-p Gromov-Kantorovich distance), the Hilbert-Schmidt
 kernel gap and its two distortion bounds, orthogonal Procrustes alignment,
-eigenvalue perturbation checks, and the grid convergence experiment that
+the eigenvalue matching check, and the grid convergence experiment that
 drives all of it end to end: circle and flat-torus grid embeddings both
 align to the analytic limit map, each row from one n-point circle grid
 embedding (one real DFT of its circulant kernel, no eigensolver) and a few
@@ -35,10 +35,6 @@ MARGINAL_TOL = 1e-12
 
 class MarginalMismatch(ValueError):
     pass
-
-
-class BoundViolated(AssertionError):
-    """A proven inequality failed numerically; carries both sides."""
 
 
 class UnsupportedSpace(ValueError):
@@ -195,11 +191,6 @@ class BoundReport:
     def slack(self) -> float:
         return self.rhs - self.lhs
 
-    def require(self) -> "BoundReport":
-        if not self.ok:
-            raise BoundViolated(f"{self.name}: lhs={self.lhs!r} > rhs={self.rhs!r}")
-        return self
-
 
 def check_gw_bound(A: FiniteSpace, B: FiniteSpace, coupling: Coupling) -> BoundReport:
     """Kernel gap against the order-4 distortion of the same coupling:
@@ -263,65 +254,33 @@ def procrustes(Xpts: np.ndarray, Ypts: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue perturbation (matching and projector bounds)
+# Eigenvalue perturbation (sorted-order matching)
 
 
 @dataclass(frozen=True, eq=False)
 class PerturbationReport:
     """Sorted-order eigenvalue matching against the Hilbert-Schmidt norm of
-    the perturbation, plus an optional spectral projector comparison."""
+    the perturbation."""
 
     sup_gap: float
     hs_norm: float
     matching_ok: bool
-    projector_gap: Optional[float] = None
-    projector_bound: Optional[float] = None
-    projector_ok: Optional[bool] = None
-    projector_dims_match: Optional[bool] = None
 
 
-def eigen_perturbation_check(S1: np.ndarray, S2: np.ndarray,
-                             projector_index: Optional[int] = None) -> PerturbationReport:
+def eigen_perturbation_check(S1: np.ndarray, S2: np.ndarray) -> PerturbationReport:
     """Verify eigenvalue stability of symmetric matrices under perturbation.
 
-    Descending-sorted eigenvalues are matched in order; the sup matching gap
-    never exceeds the Hilbert-Schmidt (Frobenius) norm of S1 - S2. If
-    ``projector_index`` selects an isolated eigenvalue of S1 with isolation
-    radius r and the perturbation is at most r/2, the spectral projectors of
-    the matched groups satisfy ||P1 - P2||_HS <= (2/r) ||S1 - S2||_HS and
-    their ranks agree; both facts are reported, not raised.
+    Sorted eigenvalues are matched in order; the sup matching gap never
+    exceeds the Hilbert-Schmidt (Frobenius) norm of S1 - S2. The outcome is
+    reported, not raised.
     """
     S1 = np.asarray(S1, dtype=float)
     S2 = np.asarray(S2, dtype=float)
     if S1.shape != S2.shape or S1.ndim != 2 or S1.shape[0] != S1.shape[1]:
         raise DimensionMismatch(f"need equal square matrices, got {S1.shape}, {S2.shape}")
-    vals1, vecs1 = np.linalg.eigh(S1)
-    vals2, vecs2 = np.linalg.eigh(S2)
-    vals1, vecs1 = vals1[::-1], vecs1[:, ::-1]
-    vals2, vecs2 = vals2[::-1], vecs2[:, ::-1]
     hs = float(np.linalg.norm(S1 - S2))
-    sup_gap = float(np.max(np.abs(vals1 - vals2)))
-    report = dict(sup_gap=sup_gap, hs_norm=hs, matching_ok=sup_gap <= hs)
-    if projector_index is not None:
-        k = projector_index
-        lam_k = vals1[k]
-        others = np.delete(vals1, np.flatnonzero(vals1 == lam_k))
-        if others.size == 0:
-            raise ValueError("projector check needs a second distinct eigenvalue")
-        r = 0.5 * float(np.min(np.abs(others - lam_k)))
-        if hs <= r / 2.0:
-            sel1 = vals1 == lam_k
-            sel2 = np.abs(vals2 - lam_k) <= r
-            P1 = vecs1[:, sel1] @ vecs1[:, sel1].T
-            P2 = vecs2[:, sel2] @ vecs2[:, sel2].T
-            pgap = float(np.linalg.norm(P1 - P2))
-            report.update(
-                projector_gap=pgap,
-                projector_bound=2.0 * hs / r,
-                projector_ok=pgap <= 2.0 * hs / r,
-                projector_dims_match=int(sel1.sum()) == int(sel2.sum()),
-            )
-    return PerturbationReport(**report)
+    sup_gap = float(np.max(np.abs(np.linalg.eigvalsh(S1) - np.linalg.eigvalsh(S2))))
+    return PerturbationReport(sup_gap=sup_gap, hs_norm=hs, matching_ok=sup_gap <= hs)
 
 
 # ---------------------------------------------------------------------------

@@ -281,7 +281,8 @@ class TestRun:
         ["sphere", "asymptotics", "--dim", "1", "--nmin", "5", "--nmax", "3"],
         ["torus", "check", "--n", "16", "--k", "0", "--trunc", "3"],
         ["torus", "check", "--n", "16", "--k", "1", "--trunc", "3", "--pairs", "0"],
-    ], ids=["nmin_zero", "nmin_above_nmax", "k_zero", "pairs_zero"])
+        ["torus", "check", "--n", "16", "--k", "1", "--trunc", "4"],
+    ], ids=["nmin_zero", "nmin_above_nmax", "k_zero", "pairs_zero", "trunc_even"])
     def test_out_of_range_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"
         assert run(argv + ["--out", str(out)]) == 2
@@ -357,6 +358,7 @@ class TestRun:
         assert run(["sphere", "asymptotics", "--dim", "1", "--nmin", "2",
                     "--nmax", "5", "--out", str(out)]) == 0
         record = json.loads((tmp_path / "scan.csv.run.json").read_text())
+        assert record["claim"] == CLAIMS["sphere asymptotics"]
         assert record["version"]
         assert record["result_path"] == str(out)
         assert len(record["config_hash"]) == 64

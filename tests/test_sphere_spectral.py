@@ -5,12 +5,13 @@ import math
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -57,12 +58,19 @@ def c_d(d: int) -> float:
 
 
 def mpmath_closed(d: int, j: int) -> float:
-    """lambda_j of S^d from 40-digit mpmath gammas, rounded to a float."""
+    """lambda_j of S^d from 40-digit mpmath gammas, rounded once to a float.
+
+    ``float(mpf)`` rounds to 53 bits before the subnormal grid, so its result
+    can be off by one ulp below 2^-1022; the exact binary value of the mpf is
+    rounded here instead (``man_exp`` drops the sign, which copysign restores).
+    """
     with mpmath.workdps(40):
         half = mpmath.mpf(d + 1) / 2
         x = mpmath.mpf(j) / 2
         root = mpmath.gamma(half) * mpmath.gamma(x) / (2 * mpmath.gamma(x + half))
-        return float((-1) ** (j + 1) * root**2)
+        value = (-1) ** (j + 1) * root**2
+        man, exp = value.man_exp
+        return math.copysign(float(Fraction(man) * Fraction(2) ** exp), value)
 
 
 def count_series_terms(monkeypatch, d: int, j: int) -> int:
@@ -657,6 +665,7 @@ class TestClosedForm:
 
     @settings(max_examples=300, deadline=None)
     @given(d=st.integers(0, 499).map(lambda k: 2 * k + 1), j=st.integers(1, 10**5))
+    @example(d=567, j=457)  # subnormal, where a twice-rounded oracle is one ulp off
     def test_odd_dimension_correctly_rounded(self, d, j):
         # at odd d the value is one quotient of exact integers, so it is the
         # 40-digit value rounded to a float, subnormals and zeros included

@@ -19,8 +19,6 @@ from mdslab.products import torus_check
 from mdslab.spaces import (FiniteSpace, SampleSpec, Sphere, Torus, finite_space_from_matrix,
                            fourth_moment_norm, sample)
 from mdslab.stability import (
-    BoundViolated,
-    Coupling,
     MarginalMismatch,
     UnsupportedSpace,
     check_gw_bound,
@@ -281,16 +279,6 @@ class TestHsGapAndBounds:
             rep2 = check_transport_bound(fine, coarse, coup, w4)
             assert rep2.ok and rep2.slack > 0.0
 
-    def test_bound_report_require(self):
-        fs = equilateral_triangle()
-        rep = check_gw_bound(fs, fs, coupling_identity(fs))
-        assert rep.require() is rep
-        from mdslab.stability import BoundReport
-
-        bad = BoundReport(name="x", lhs=2.0, rhs=1.0)
-        with pytest.raises(BoundViolated):
-            bad.require()
-
 
 class TestProcrustes:
     def test_recovers_rotation(self, rng):
@@ -362,18 +350,6 @@ class TestEigenPerturbation:
             rep = eigen_perturbation_check(S1, S2)
             assert rep.matching_ok
             assert rep.sup_gap <= rep.hs_norm
-
-    def test_projector_bound(self, rng):
-        vals = np.array([3.0, 1.0, 0.5, 0.2, -0.4])
-        Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        S1 = Q @ np.diag(vals) @ Q.T
-        S1 = (S1 + S1.T) / 2
-        delta = rng.standard_normal((5, 5))
-        delta = (delta + delta.T) / 2
-        delta *= 0.05 / np.linalg.norm(delta)
-        rep = eigen_perturbation_check(S1, S1 + delta, projector_index=0)
-        assert rep.projector_ok
-        assert rep.projector_dims_match
 
     def test_circle_grid_pullback_matching(self):
         fine = sample(Sphere(1), SampleSpec("grid", 32))
