@@ -4,11 +4,12 @@ A run's config is its parsed flags: ``{"command": "<group> <sub>", <flag
 dest>: <value>, ...}``, with ``MDSLAB_SEED`` resolved into ``seed``. Every
 subcommand runs deterministically from its flags and writes its result table
 as CSV (17 significant digits, LF line endings) and a JSON run record next to
-it. The record's hash covers the config JSON, the environment (numpy, its BLAS
-and the BLAS thread count, which changes eigensolver bits) and the sha256 of
-every input file, taken before the command runs. ``stability converge --config FILE``
-appends the keys of a JSON object as ``--key=value`` flags, so the file
-overrides the flags it names and passes through the same parser. Exit codes:
+it. The record's hash covers the config JSON, the environment (numpy, its BLAS,
+the BLAS thread count, which changes eigensolver bits, and the sha256 of the
+package's own source) and the sha256 of every input file, taken before the
+command runs. ``stability converge --config FILE`` appends the keys of a JSON
+object as ``--key=value`` flags, so the file overrides the flags it names and
+passes through the same parser. Exit codes:
 0 success, 2 for validation or usage errors (unwritable output included) and
 for a run too large for memory (``MemoryError``), 3 for numerical
 non-convergence.
@@ -24,7 +25,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -83,7 +85,9 @@ class ConfigError(ValueError):
 class RunRecord:
     """Provenance of one run; identical config hashes imply byte-identical
     result tables (wall time is informational only). The hash covers the
-    config JSON, the ``env`` JSON and the sha256 of every input file, in order.
+    config JSON, the ``env`` JSON (``env.code`` is the sha256 of the package
+    source, so a code change that moves result bytes moves the hash) and the
+    sha256 of every input file, in order.
     ``claim`` is the command's entry in ``CLAIMS``; it stays out of the hash,
     which promises bytes, not prose."""
 
@@ -91,7 +95,7 @@ class RunRecord:
     claim: str
     version: str
     wall_time_s: float
-    result_path: Optional[str]
+    result_path: str
     config: dict
     env: dict
     input_sha256: list[str]
@@ -121,11 +125,21 @@ def _blas_thread_getters() -> tuple:
     return tuple(getters)
 
 
+@lru_cache(maxsize=None)
+def _code_sha256() -> str:
+    """sha256 over the package's ``*.py`` files sorted by name, one line of
+    name and file sha256 each; read once per process."""
+    paths = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    lines = "\n".join(f"{path.name} {_file_sha256(path)}" for path in paths)
+    return hashlib.sha256(lines.encode("utf-8")).hexdigest()
+
+
 def _environment() -> dict:
-    """What fixes the result bytes besides the config and the inputs: numpy,
-    its BLAS, and the thread count each loaded OpenBLAS reports now."""
+    """What fixes the result bytes besides the config and the inputs: the
+    package source, numpy, its BLAS, and the thread count each loaded
+    OpenBLAS reports now."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas_name": blas.get("name"),
+    return {"code": _code_sha256(), "numpy": np.__version__, "blas_name": blas.get("name"),
             "blas_version": blas.get("version"),
             "blas_threads": {name: fn() for name, fn in _blas_thread_getters()}}
 
@@ -301,14 +315,14 @@ def _cmd_product_check(args) -> None:
     B = read_space_csv(paths[1])
     res_a = eigendecompose(double_center(A))
     res_b = eigendecompose(double_center(B))
-    pred = predict_product_spectrum(res_a, res_b)
+    merged = predict_product_spectrum(res_a, res_b)
     direct = eigendecompose(double_center(product_space(A, B)))
     direct_nz = direct.eigenvalues[direct.eigenvalues != 0.0]
-    k = min(pred.eigenvalues.size, direct_nz.size)
-    spectrum_err = float(np.max(np.abs(pred.eigenvalues[:k] - direct_nz[:k]))) if k else 0.0
-    additivity_err = verify_product_embedding(pred, direct)
-    rows = [[int(i + 1), pred.eigenvalues[i],
-             direct_nz[i] if i < direct_nz.size else 0.0] for i in range(pred.eigenvalues.size)]
+    k = min(merged.size, direct_nz.size)
+    spectrum_err = float(np.max(np.abs(merged[:k] - direct_nz[:k]))) if k else 0.0
+    additivity_err = verify_product_embedding(direct, res_a, res_b)
+    rows = [[int(i + 1), merged[i], direct_nz[i] if i < direct_nz.size else 0.0]
+            for i in range(merged.size)]
     emit_table(["rank", "merged_lambda", "direct_lambda"], rows, args.out)
     print(
         f"spectrum merge max error {_fmt(spectrum_err)}; "

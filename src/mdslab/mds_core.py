@@ -99,23 +99,6 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * np.where(lead < 0.0, -1.0, 1.0)
 
 
-def _order_degenerate_blocks(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Within blocks of exactly equal eigenvalues, order columns lexicographically."""
-    out = vecs.copy()
-    start = 0
-    n = vals.size
-    while start < n:
-        stop = start + 1
-        while stop < n and vals[stop] == vals[start]:
-            stop += 1
-        if stop - start > 1:
-            # stable, row 0 the primary key, and -0.0 == 0.0, as a tuple sort
-            cols = np.lexsort(out[::-1, start:stop])
-            out[:, start:stop] = out[:, start:stop][:, cols]
-        start = stop
-    return out
-
-
 def eigendecompose(op: CenteredOperator) -> EmbeddingResult:
     """Full deterministic spectral decomposition of the centered operator.
 
@@ -123,7 +106,9 @@ def eigendecompose(op: CenteredOperator) -> EmbeddingResult:
     first largest-magnitude component is positive; eigenvalues below
     n * eps * ||S|| in magnitude are clamped to zero (this separates the
     structural constant-direction null space from round-off). Eigenfunction
-    values are recovered as u_j(x_i) = v_j[i] / sqrt(w_i).
+    values are recovered as u_j(x_i) = v_j[i] / sqrt(w_i). Columns inside a
+    block of exactly equal eigenvalues keep ``eigh``'s order: any orthonormal
+    basis of the block is as valid.
     """
     if op.w.min() <= 0.0:
         i = int(np.argmin(op.w))
@@ -146,7 +131,6 @@ def eigendecompose(op: CenteredOperator) -> EmbeddingResult:
     vals = np.where(np.abs(vals) <= clamp, 0.0, vals)
 
     vecs = _fix_signs(vecs)
-    vecs = _order_degenerate_blocks(vals, vecs)
 
     U = vecs / np.sqrt(op.w)[:, None]
     pos = int(np.sum(vals > 0.0))

@@ -29,37 +29,27 @@ def product_space(A: FiniteSpace, B: FiniteSpace) -> FiniteSpace:
     return _metric_space(np.sqrt(_kron_sum(A.D**2, B.D**2)), np.outer(A.w, B.w).ravel())
 
 
-@dataclass(frozen=True, eq=False)
-class ProductPrediction:
-    """Nonzero product spectrum predicted from the factors: ``eigenvalues``
-    is the merged union sorted descending."""
-
-    eigenvalues: np.ndarray
-    left: EmbeddingResult
-    right: EmbeddingResult
+def predict_product_spectrum(left: EmbeddingResult, right: EmbeddingResult) -> np.ndarray:
+    """The predicted nonzero product spectrum: the factor nonzero spectra
+    merged, sorted descending."""
+    lams = np.concatenate([res.eigenvalues[res.eigenvalues != 0.0] for res in (left, right)])
+    return lams[np.argsort(-lams, kind="stable")]
 
 
-def predict_product_spectrum(specA: EmbeddingResult, specB: EmbeddingResult) -> ProductPrediction:
-    """Merge the factor nonzero spectra into the predicted product spectrum."""
-    lams = np.concatenate([res.eigenvalues[res.eigenvalues != 0.0] for res in (specA, specB)])
-    return ProductPrediction(eigenvalues=lams[np.argsort(-lams, kind="stable")],
-                             left=specA, right=specB)
-
-
-def verify_product_embedding(prediction: ProductPrediction, direct: EmbeddingResult) -> float:
+def verify_product_embedding(direct: EmbeddingResult, left: EmbeddingResult,
+                             right: EmbeddingResult) -> float:
     """Additivity of squared embedding distances over a finite product.
 
     Embeds the decomposition ``direct`` of the explicit product space and
-    the two factor decompositions held by ``prediction`` at full positive
-    rank and returns the max over all point pairs of
+    the factor decompositions ``left`` and ``right`` at full positive rank
+    and returns the max over all point pairs of
 
         | ||M(x)-M(y)||^2 - ||M1(x1)-M1(y1)||^2 - ||M2(x2)-M2(y2)||^2 |.
 
     Degenerate blocks may mix lifted eigenfunctions across factors; the
     block sums compared here are invariant under that mixing.
     """
-    Ep, Ea, Eb = (embed(res, max(res.positive_count, 1))
-                  for res in (direct, prediction.left, prediction.right))
+    Ep, Ea, Eb = (embed(res, max(res.positive_count, 1)) for res in (direct, left, right))
     predicted = _kron_sum(_dist_sq_matrix(Ea), _dist_sq_matrix(Eb))
     return float(np.max(np.abs(_dist_sq_matrix(Ep) - predicted)))
 

@@ -260,14 +260,15 @@ def test_criterion_12_product_torus():
         np.fill_diagonal(raw_b, 0.0)
         A = finite_space_from_matrix(shortest_path_completion(raw_a), np.full(na, 1 / na))
         B = finite_space_from_matrix(shortest_path_completion(raw_b), np.full(nb, 1 / nb))
-        pred = predict_product_spectrum(spectral_embedding(A), spectral_embedding(B))
+        left, right = spectral_embedding(A), spectral_embedding(B)
+        merged = predict_product_spectrum(left, right)
         from mdslab.products import product_space
 
         direct = spectral_embedding(product_space(A, B))
         nz = np.sort(direct.eigenvalues[direct.eigenvalues != 0.0])
-        assert nz.size == pred.eigenvalues.size
-        assert np.max(np.abs(nz - np.sort(pred.eigenvalues))) <= 1e-8
-        assert verify_product_embedding(pred, direct) <= 1e-8
+        assert nz.size == merged.size
+        assert np.max(np.abs(nz - np.sort(merged))) <= 1e-8
+        assert verify_product_embedding(direct, left, right) <= 1e-8
     chk = torus_check(256, 2, 99, n_pairs=1000, seed=12)
     assert chk.max_error <= 0.1
     elapsed = time.perf_counter() - start

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -34,10 +35,11 @@ from mdslab.spaces import Sphere, Snowflake, Torus, read_space_csv, write_space_
 from mdslab.sphere_spectral import eigenvalue_quadrature
 
 
-def fresh_python(code: str, cwd=None) -> str:
-    """Stdout of ``code`` run in a new interpreter that imports this mdslab."""
+def fresh_python(code: str, cwd=None, src=None) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports the mdslab
+    under ``src``, this one by default."""
     env = dict(os.environ)
-    src = str(Path(mdslab.__file__).resolve().parents[1])
+    src = str(src or Path(mdslab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                          capture_output=True, text=True, timeout=60)
@@ -205,6 +207,27 @@ class TestRun:
         assert run(["definitely", "not", "real"]) == 2
         assert run([]) == 2
 
+    def test_console_entry_points(self):
+        # ``python -m mdslab.cli`` and the ``mdslab`` script's ``main`` pass
+        # ``run``'s exit code to the interpreter
+        code = textwrap.dedent("""
+            import json, runpy, sys
+            codes = []
+            sys.argv = ["mdslab", "--version"]
+            try:
+                runpy.run_module("mdslab.cli", run_name="__main__", alter_sys=True)
+            except SystemExit as exc:
+                codes.append(exc.code)
+            from mdslab.cli import main
+            sys.argv = ["mdslab", "definitely-not-a-command"]
+            try:
+                main()
+            except SystemExit as exc:
+                codes.append(exc.code)
+            print(json.dumps(codes))
+        """)
+        assert fresh_python(code).splitlines() == ["mdslab 0.1.0", "[0, 2]"]
+
     def test_space_gen_and_embed(self, tmp_path, capsys):
         space_csv = tmp_path / "tri.csv"
         write_space_csv(equilateral_triangle(), str(space_csv))
@@ -244,7 +267,9 @@ class TestRun:
         ("0,1\n1,0\n0.5,0.5\n", "SpaceValidationError"),
         ("n,3\n0,1,1\n1,0\n1,1,0\n0.25,0.25,0.5\n", "ValueError"),
         ("n,2\n# note\n0,1\n1,0\n0.5,0.5\n", "ValueError"),
-    ], ids=["empty", "blank_only", "header_only", "headerless", "ragged_row", "comment_line"])
+        ("n,3\n0,1,1\n1,0,1\n1,1,0\n", "SpaceValidationError"),
+    ], ids=["empty", "blank_only", "header_only", "headerless", "ragged_row", "comment_line",
+            "rows_short_of_header"])
     def test_malformed_space_file_exit_2(self, tmp_path, capsys, text, error):
         path = tmp_path / "bad.csv"
         path.write_text(text)
@@ -276,18 +301,29 @@ class TestRun:
         assert run(["space", "gen", "--space", "circle", "--n", "8", "--out", str(out)]) == 2
         assert "IsADirectoryError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["sphere", "asymptotics", "--dim", "1", "--nmin", "0", "--nmax", "3"],
-        ["sphere", "asymptotics", "--dim", "1", "--nmin", "5", "--nmax", "3"],
-        ["torus", "check", "--n", "16", "--k", "0", "--trunc", "3"],
-        ["torus", "check", "--n", "16", "--k", "1", "--trunc", "3", "--pairs", "0"],
-        ["torus", "check", "--n", "16", "--k", "1", "--trunc", "4"],
-    ], ids=["nmin_zero", "nmin_above_nmax", "k_zero", "pairs_zero", "trunc_even"])
-    def test_out_of_range_exit_2(self, tmp_path, capsys, argv):
-        out = tmp_path / "x.csv"
-        assert run(argv + ["--out", str(out)]) == 2
-        assert "ConfigError" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("argv,error", [
+        (["sphere", "asymptotics", "--dim", "1", "--nmin", "0", "--nmax", "3"], "ConfigError"),
+        (["sphere", "asymptotics", "--dim", "1", "--nmin", "5", "--nmax", "3"], "ConfigError"),
+        (["torus", "check", "--n", "16", "--k", "0", "--trunc", "3"], "ConfigError"),
+        (["torus", "check", "--n", "16", "--k", "1", "--trunc", "3", "--pairs", "0"],
+         "ConfigError"),
+        (["torus", "check", "--n", "16", "--k", "1", "--trunc", "4"], "ConfigError"),
+        (["space", "gen", "--space", "circle:3", "--n", "8"],
+         "ConfigError: trailing tokens in space spec 'circle:3'"),
+        (["sphere", "eigen", "--dim", "2", "--degree", "3", "--method", "series",
+          "--kind", "snowflake"], "ConfigError: the series evaluator covers the full kernel only"),
+        (["product", "check", "--factors", "one.csv"],
+         "ConfigError: product check needs exactly two factor files"),
+        (["mds", "embed", "--input", "one.csv", "--m", "0"],
+         "DimensionMismatch: embedding dimension must be >= 1, got 0"),
+    ], ids=["nmin_zero", "nmin_above_nmax", "k_zero", "pairs_zero", "trunc_even",
+            "trailing_space_tokens", "series_snowflake", "one_factor", "m_zero"])
+    def test_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, argv, error):
+        monkeypatch.chdir(tmp_path)
+        write_space_csv(equilateral_triangle(), "one.csv")  # a real input, hashed before the run
+        assert run(argv + ["--out", "x.csv"]) == 2
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_sphere_eigen_prints_fourier_value(self, capsys):
         assert run(["sphere", "eigen", "--dim", "1", "--degree", "1",
@@ -368,6 +404,31 @@ class TestRun:
         assert record["result_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
         assert record["env"]["numpy"] == np.__version__
         assert all(isinstance(n, int) and n >= 1 for n in record["env"]["blas_threads"].values())
+
+    def test_config_hash_covers_package_source(self, tmp_path):
+        # With the same flags, two package copies one source byte apart get
+        # different hashes, and a byte-identical copy elsewhere gets the same.
+        package = Path(mdslab.__file__).resolve().parent
+        hashes = []
+        for name, extra in (("this", None), ("copy", b""), ("edited", b"#")):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            src = None
+            if extra is not None:
+                src = tmp_path / f"{name}_src"
+                shutil.copytree(package, src / "mdslab",
+                                ignore=shutil.ignore_patterns("__pycache__"))
+                init = src / "mdslab" / "__init__.py"
+                init.write_bytes(init.read_bytes() + extra)
+            fresh_python(textwrap.dedent("""
+                from mdslab.cli import run
+                assert run(["sphere", "asymptotics", "--dim", "3", "--nmin", "5",
+                            "--nmax", "160", "--out", "a.csv"]) == 0
+            """), cwd=cwd, src=src)
+            record = read_record(cwd / "a.csv")
+            assert record["config_hash"] == config_hash(record["config"], record["env"])
+            hashes.append(record["config_hash"])
+        assert hashes[0] == hashes[1] != hashes[2]
 
     def test_equal_hashes_mean_equal_bytes_across_blas_threads(self, tmp_path):
         # A 300-point eigensolve differs in its last bits between one and two

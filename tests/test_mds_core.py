@@ -18,7 +18,6 @@ from conftest import (
 from mdslab.mds_core import (
     DimensionMismatch,
     _fix_signs,
-    _order_degenerate_blocks,
     circle_grid_embedding,
     double_center,
     eigendecompose,
@@ -249,44 +248,7 @@ def weighted_metrics(draw):
     return finite_space_from_matrix(shortest_path_completion(raw), w / w.sum())
 
 
-def tuple_sorted_blocks(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Oracle: each block of exactly equal eigenvalues sorted by Python's
-    stable sort on the column tuples."""
-    out = vecs.copy()
-    start = 0
-    while start < vals.size:
-        stop = start + 1
-        while stop < vals.size and vals[stop] == vals[start]:
-            stop += 1
-        cols = sorted(range(start, stop), key=lambda c: tuple(out[:, c]))
-        out[:, start:stop] = vecs[:, cols]
-        start = stop
-    return out
-
-
-@st.composite
-def tied_blocks(draw):
-    """Descending eigenvalues with planted exact ties, and columns drawn from
-    a few values, +0.0 and -0.0 among them, so whole columns and leading
-    entries tie too."""
-    rows = draw(st.integers(1, 6))
-    levels = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
-    vals = np.repeat(np.arange(len(levels), 0, -1, dtype=float), levels)
-    entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
-    vecs = draw(arrays(float, (rows, vals.size), elements=entries))
-    return vals, vecs
-
-
 class TestProperties:
-    @settings(max_examples=300, deadline=None)
-    @given(tied_blocks())
-    def test_degenerate_block_order_matches_tuple_sort(self, case):
-        vals, vecs = case
-        got = _order_degenerate_blocks(vals, vecs)
-        want = tuple_sorted_blocks(vals, vecs)
-        # bit for bit, so the sign of every zero is where the tuple sort puts it
-        assert got.tobytes() == want.tobytes()
-
     @settings(max_examples=150, deadline=None)
     @given(fs=weighted_metrics())
     def test_signed_reconstruction_exact_with_nonuniform_weights(self, fs):
