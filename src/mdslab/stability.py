@@ -107,8 +107,10 @@ def _coupled_moment(coupling: Coupling, X: np.ndarray, Y: np.ndarray, p: int) ->
 
     A coupling whose rows each hold one nonzero is a map i -> a[i], and the
     sum is r^T |X - Y[a, a]|^p r over the row marginal r. Otherwise the
-    binomial expansion in G^T X^k G runs in O(n^3) instead of O(n^4); it can
-    round slightly below zero, which callers clamp.
+    binomial expansion sum_k (-1)^k C(p, k) T_k, with T_0 = r^T X^p r,
+    T_p = c^T Y^p c over the column marginal c and
+    T_k = sum (G^T X^(p-k) G) * Y^k between, runs in O(n^3) instead of O(n^4);
+    it can round slightly below zero, which callers clamp.
     """
     G = coupling.G
     if G.shape != (X.shape[0], Y.shape[0]):
@@ -124,19 +126,10 @@ def _coupled_moment(coupling: Coupling, X: np.ndarray, Y: np.ndarray, p: int) ->
         diff **= p
         return float(r @ diff @ r)
     c = coupling.col_marginal
-    if p == 2:
-        return (
-            float(r @ X**2 @ r)
-            - 2.0 * float(np.sum((G.T @ X @ G) * Y))
-            + float(c @ Y**2 @ c)
-        )
-    return (
-        float(r @ X**4 @ r)
-        - 4.0 * float(np.sum((G.T @ X**3 @ G) * Y))
-        + 6.0 * float(np.sum((G.T @ X**2 @ G) * Y**2))
-        - 4.0 * float(np.sum((G.T @ X @ G) * Y**3))
-        + float(c @ Y**4 @ c)
-    )
+    terms = ([float(r @ X**p @ r)]
+             + [float(np.sum((G.T @ X ** (p - k) @ G) * Y**k)) for k in range(1, p)]
+             + [float(c @ Y**p @ c)])
+    return sum((-1) ** k * math.comb(p, k) * t for k, t in enumerate(terms))
 
 
 def gw_cost(coupling: Coupling, A: FiniteSpace, B: FiniteSpace, p: int) -> float:
@@ -291,19 +284,12 @@ def circle_limit_map(thetas: np.ndarray, m: int) -> np.ndarray:
     """Limit embedding of the circle at the given angles, first m coordinates:
     pairs (sqrt(lam_k) sqrt(2) cos(k theta), sqrt(lam_k) sqrt(2) sin(k theta))
     over odd degrees k, with lam_k = 1/k^2 from ``eigenvalue_closed``."""
-    thetas = np.asarray(thetas, dtype=float)
-    out = np.zeros((thetas.size, m))
-    col = 0
-    k = 1
-    while col < m:
-        lam = eigenvalue_closed(1, k)
-        root = math.sqrt(lam) * math.sqrt(2.0)
-        out[:, col] = root * np.cos(k * thetas)
-        col += 1
-        if col < m:
-            out[:, col] = root * np.sin(k * thetas)
-            col += 1
-        k += 2
+    degrees = range(1, m + 1, 2)
+    root = np.array([math.sqrt(eigenvalue_closed(1, k)) * math.sqrt(2.0) for k in degrees])
+    angles = np.outer(np.asarray(thetas, dtype=float), degrees)
+    out = np.empty((angles.shape[0], m))
+    out[:, 0::2] = root * np.cos(angles)
+    out[:, 1::2] = root[: m // 2] * np.sin(angles[:, : m // 2])
     return out
 
 

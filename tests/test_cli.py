@@ -332,8 +332,10 @@ class TestRun:
         assert float(out) == pytest.approx(1.0, abs=1e-9)
 
     def test_series_tolerance_failure_exit_3(self, capsys):
-        code = run(["sphere", "eigen", "--dim", "1", "--degree", "1",
-                    "--method", "series", "--tol", "1e-30"])
+        # the degree-10001 summand on S^1 peaks past SERIES_TERM_BUDGET terms, so no
+        # block ends past the peak and the budget runs out
+        code = run(["sphere", "eigen", "--dim", "1", "--degree", "10001",
+                    "--method", "series"])
         assert code == 3
         assert "ToleranceNotReached" in capsys.readouterr().err
 

@@ -24,7 +24,6 @@ from mdslab.sphere_spectral import (
     QuadratureNotConverged,
     ToleranceNotReached,
     _gauss_legendre,
-    _lgamma,
     _zonal_values,
     _series_log_term,
     _sum_unimodal,
@@ -190,12 +189,12 @@ class TestSeriesEvaluator:
         assert count_series_terms(monkeypatch, 2, 41) < 4_000
 
     def test_first_block_accuracy_grid(self):
-        # worst relative error 4.9e-10, at (1, 401); first blocks of 512 or 2,048
-        # terms reach 1.5e-9 on this grid
+        # worst relative error 9.4e-15, at (12, 99); with the three log-gammas of
+        # the summand formed apart and subtracted it was 4.9e-10, at (1, 401)
         for d in (1, 2, 3, 5, 8, 12):
             for j in [*range(1, 100, 7), 150, 200, 300, 400, 401]:
                 expect = c_d(d) * eigenvalue_closed(d, j)
-                assert abs(eigenvalue_series(d, j) / expect - 1.0) <= 1e-9, (d, j)
+                assert abs(eigenvalue_series(d, j) / expect - 1.0) <= 1e-12, (d, j)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_summand_matches_coefficient_route(self, d):
@@ -213,23 +212,22 @@ class TestSeriesEvaluator:
                 got = float(log_term(np.array([float(s)]))[0])
                 assert abs(got - route) <= 8 * eps * max(1.0, gammaln(2 * s + j + 1)), (j, s)
 
-    def test_lgamma_matches_mpmath(self):
-        # scipy's gammaln reaches 4.4e-16 on this grid
-        rng = np.random.default_rng(7)
-        x = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 1500)),
-                            rng.uniform(0.0, 40.0, 500), np.arange(1, 81) / 2.0,
-                            [15.999999999999998, 16.0, 1e6]])
-        x = x[x > 0.0]
+    @pytest.mark.parametrize("d, j", [(1, 401), (2, 41), (3, 7), (8, 200)])
+    def test_summand_matches_mpmath(self, d, j):
+        # formed apart and subtracted, the three log-gammas (near 1e6 at s ~ 1e5)
+        # left errors up to 5.5e-10 here at (1, 401)
+        s = np.concatenate([np.arange(41.0), np.geomspace(41.0, 3e5, 150)])
         with mpmath.workdps(40):
-            expect = np.array([float(mpmath.loggamma(mpmath.mpf(float(v)))) for v in x])
-        err = np.abs(_lgamma(x) - expect) / np.maximum(1.0, np.abs(expect))
-        assert err.max() <= 2e-15, x[np.argmax(err)]
-
-    def test_lgamma_poles_are_infinite(self):
-        got = _lgamma(np.array([0.0, -1.0, -7.0, -0.5, 1.0, 2.0]))
-        assert got[:3].tolist() == [math.inf] * 3
-        assert got[3] == pytest.approx(math.lgamma(-0.5), rel=1e-15)
-        assert got[4:].tolist() == [0.0, 0.0]
+            expect = np.array([float(0.5 * mpmath.log(mpmath.pi) - mpmath.log(8)
+                                     + 2 * mpmath.loggamma(v + mpmath.mpf(j) / 2)
+                                     - mpmath.loggamma(v + j + mpmath.mpf(d + 1) / 2)
+                                     - mpmath.loggamma(v + 1))
+                               for v in map(mpmath.mpf, s.tolist())])
+        err = np.abs(_series_log_term(d, j)(s) - expect)
+        assert err.max() <= 1e-12, s[np.argmax(err)]
+        # Gamma(0) is infinite at j = 0, s = 0: the term is the constant coefficient's
+        first = 2.5 * math.log(math.pi) - math.log(16.0) - math.lgamma((d + 1) / 2)
+        assert _series_log_term(d, 0)(np.array([0.0]))[0] == first
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 5), j=st.integers(1, 99))
@@ -764,6 +762,24 @@ class TestSnowflakeIdentity:
             # antipodal points have 1 - G_j = 2 at every odd j: the bound is attained
             antipodal = snowflake_identity_error(1, trunc, [(unit(0.3), unit(0.3 + math.pi))])
             assert partial - 1e-12 <= antipodal <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 8), trunc=st.integers(0, 99).map(lambda k: 2 * k + 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_certified_enclosure(self, d, trunc, seed):
+        # 0 <= pi theta - ||M(x) - M(y)||^2_T <= 4 tail_T, with the tail
+        # tail_T = pi^2 / 4 - sum_{j odd <= T} lambda_j N(d, j) from the identity at
+        # antipodal points, where the upper bound is attained
+        lam = {j: eigenvalue_closed(d, j) for j in range(1, trunc + 1, 2)}
+        tail = math.pi**2 / 4.0 - sum(lam[j] * multiplicity(d, j) for j in lam)
+        pts = np.random.default_rng(seed).standard_normal((20, 2, d + 1))
+        pts /= np.linalg.norm(pts, axis=2, keepdims=True)
+        cosines = np.clip(np.sum(pts[:, 0] * pts[:, 1], axis=1), -1.0, 1.0)
+        cosines[:2] = (-1.0, 1.0)  # an antipodal and an identical pair
+        gap = math.pi * np.arccos(cosines) - truncated_embedding_dist_sq(d, trunc, cosines, lam)
+        eps = 1e-12
+        assert np.all(gap >= -eps) and np.all(gap <= 4.0 * tail + eps), (gap.min(), gap.max())
+        assert gap[0] == pytest.approx(4.0 * tail, abs=eps)
 
     def test_d2_identity_coarse(self, rng):
         pts = rng.standard_normal((12, 2, 3))
