@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import TWO_PI, BadWeights, FiniteSpace, _circle_arc, _write_csv
+from .spaces import BadWeights, FiniteSpace, _circle_arc, _circle_grid, _write_csv
 
 
 class NoConvergence(RuntimeError):
@@ -117,6 +117,10 @@ def eigendecompose(op: CenteredOperator) -> EmbeddingResult:
         )
     try:
         vals, vecs = np.linalg.eigh(op.S)
+        # a kernel that overflowed (d^2 past the float range) reaches eigh as
+        # NaN, and at small n eigh returns NaN values instead of raising
+        if not np.isfinite(vals).all():
+            raise np.linalg.LinAlgError("non-finite eigenvalues")
     except np.linalg.LinAlgError as exc:
         absS = float(np.abs(op.S).max())
         raise NoConvergence(
@@ -142,11 +146,6 @@ def eigendecompose(op: CenteredOperator) -> EmbeddingResult:
     )
 
 
-def spectral_embedding(space: FiniteSpace) -> EmbeddingResult:
-    """Convenience: double centering followed by eigendecomposition."""
-    return eigendecompose(double_center(space))
-
-
 def embed(result: EmbeddingResult, m: int) -> np.ndarray:
     """m-dimensional embedding: point i maps to (sqrt(lambda_j) u_j(x_i))_{j<=m}
     over the m largest positive eigenvalues, padding with zeros past the
@@ -170,7 +169,7 @@ def circle_grid_embedding(n: int, m: int) -> np.ndarray:
     largest lam_k first (stable in k)."""
     if m < 1:
         raise DimensionMismatch(f"embedding dimension must be >= 1, got {m}")
-    grid = TWO_PI * np.arange(n) / n
+    grid = _circle_grid(n)
     lam = np.fft.rfft(-0.5 * _circle_arc(0.0, grid) ** 2).real / n
     lam[0] = 0.0
     lam[np.abs(lam) <= n * np.finfo(float).eps * np.abs(lam).max()] = 0.0

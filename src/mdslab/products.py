@@ -18,7 +18,8 @@ import numpy as np
 
 from .mds_core import EmbeddingResult, circle_grid_embedding, embed
 from .mds_core import double_center, eigendecompose  # noqa: F401  bench/tracer.py wraps this name
-from .spaces import TWO_PI, FiniteSpace, _circle_arc, _dist_sq_matrix, _kron_sum, _metric_space
+from .spaces import (FiniteSpace, _circle_arc, _circle_grid, _dist_sq_matrix, _kron_sum,
+                     _metric_space)
 from .spaces import finite_space_from_matrix, sample  # noqa: F401  bench/tracer.py wraps this name
 
 
@@ -85,7 +86,7 @@ def torus_check(n_per_factor: int, k_factors: int, trunc: int,
 
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n_per_factor, size=(n_pairs, 2, k_factors))
-    thetas = TWO_PI * np.arange(n_per_factor) / n_per_factor
+    thetas = _circle_grid(n_per_factor)
     arc = _circle_arc(thetas[idx[:, 0, :]], thetas[idx[:, 1, :]])
     # the grid is a group: the squared distance of (a, b) is that of (0, a - b)
     embedded_sq = np.sum(sq_from_0[(idx[:, 0, :] - idx[:, 1, :]) % n_per_factor], axis=1)

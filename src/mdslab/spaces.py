@@ -219,6 +219,11 @@ def _circle_arc(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray | fl
     return np.minimum(delta, TWO_PI - delta)
 
 
+def _circle_grid(n: int) -> np.ndarray:
+    """Angles 2 pi i / n, i < n, of the uniform n-point circle grid."""
+    return TWO_PI * np.arange(n) / n
+
+
 @dataclass(frozen=True)
 class SampleSpec:
     """How to draw a finite sample: deterministic grid or seeded uniform draws.
@@ -243,7 +248,7 @@ def _pairwise(space: AnalyticSpace, mode: str, n: int, rng: np.random.Generator)
         if mode == "grid":
             if space.d != 1:
                 raise GridUnsupported(f"no canonical grid on sphere({space.d})")
-            theta = TWO_PI * np.arange(n) / n
+            theta = _circle_grid(n)
             return _circle_arc(theta[:, None], theta[None, :])
         X = rng.standard_normal((n, space.d + 1))
         X /= np.linalg.norm(X, axis=1, keepdims=True)

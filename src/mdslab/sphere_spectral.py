@@ -40,9 +40,6 @@ circle limit map. Two independent evaluators stay as its oracles:
   zonal recurrence at d = 2), with no eigenproblem: O(nodes) memory, nodes
   within 1e-16 absolute and weights within about 1e-14 relative
   (background: Hale and Townsend, SIAM J. Sci. Comput. 2013).
-
-At odd degree j = 2n + 1, ``theta(d, n, s)`` is theta_j(s); it and its peak
-stay exposed for the decay analysis.
 """
 from __future__ import annotations
 
@@ -58,7 +55,6 @@ import numpy as np
 # scipy: importing scipy.special alone costs a few tenths of a second and
 # about 20 MB in every fresh process.
 
-LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
 
 SERIES_TERM_BUDGET = 10**7
@@ -81,54 +77,6 @@ class ToleranceNotReached(RuntimeError):
 
 class QuadratureNotConverged(RuntimeError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Kernel Taylor coefficients, in sign + log-magnitude form
-
-
-@dataclass(frozen=True)
-class SignedLog:
-    """A real number stored as sign and log magnitude (sign 0 means zero)."""
-
-    sign: int
-    log_abs: float
-
-    @property
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_abs)
-
-
-def coeff(kind: str, n: int) -> SignedLog:
-    """Taylor coefficient of the zonal kernel in powers of the cosine.
-
-    kind "full" gives the coefficients a_n of -arccos(t)^2 / 2:
-    a_0 = -pi^2/8, a_{2j+1} = pi (2j)! / ((2j+1) 2^{2j+1} (j!)^2) > 0,
-    a_{2j+2} = -4^j (j!)^2 / (2 (j+1) (2j+1) (2j)!) < 0 (equivalently
-    -4^m (m!)^2 / (4 m^2 (2m)!) at n = 2m, from the square of the arcsine
-    series). kind "snowflake" gives the coefficients b_n of -arccos(t) / 2:
-    b_0 = -pi/4, b_{2j+1} = a_{2j+1}/pi, and b_n = 0 for even n >= 2.
-    Formed in log space, so large n do not overflow.
-    """
-    if n < 0:
-        raise ValueError(f"coefficient index must be >= 0, got {n}")
-    if kind not in ("full", "snowflake"):
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    if n == 0:
-        return SignedLog(-1, 2.0 * LNPI - math.log(8.0) if kind == "full"
-                         else LNPI - math.log(4.0))
-    if n % 2 == 1:
-        j = (n - 1) // 2
-        log_b = (math.lgamma(2 * j + 1) - math.log(2 * j + 1) - (2 * j + 1) * LN2
-                 - 2.0 * math.lgamma(j + 1))
-        return SignedLog(1, LNPI + log_b if kind == "full" else log_b)
-    if kind == "snowflake":
-        return SignedLog(0, -math.inf)
-    j = (n - 2) // 2
-    return SignedLog(-1, 2 * j * LN2 + 2.0 * math.lgamma(j + 1) - LN2 - math.log(j + 1)
-                     - math.log(2 * j + 1) - math.lgamma(2 * j + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -528,28 +476,6 @@ def snowflake_identity_error(d: int, trunc_degree: int, pairs: Sequence[tuple]) 
 
 # ---------------------------------------------------------------------------
 # Asymptotics of the positive (odd-degree) eigenvalues
-
-
-def theta(d: int, n: int, s: float) -> SignedLog:
-    """The series summand theta_j(s) (``_series_log_term``) at odd degree j = 2n + 1,
-    (sqrt(pi)/8) Gamma(s+n+1/2)^2 / (s! Gamma(s+2n+(d+3)/2)), with
-    Gamma(d/2) sum_s theta_j(s) = c_d lambda_j; always positive."""
-    return SignedLog(1, float(_series_log_term(d, 2 * n + 1)(np.array([float(s)]))[0]))
-
-
-def s_peak(d: int, n: int) -> int:
-    """Peak location of theta_{2n+1}: ceil((2n-1)^2 / (2(d+3)) - 1), clamped at 0.
-
-    The term ratio theta_{2n+1}(s+1) / theta_{2n+1}(s) =
-    (s+n+1/2)^2 / ((s+1)(s+2n+(d+3)/2)) crosses 1 exactly at
-    s* = (2n-1)^2/(2(d+3)) - 1, so the summand increases up to the ceiling
-    and decreases after.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    num = (2 * n - 1) ** 2
-    den = 2 * (d + 3)
-    return max(0, (num - 1) // den)
 
 
 @dataclass(frozen=True, eq=False)

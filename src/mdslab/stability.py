@@ -3,17 +3,16 @@
 Couplings between finite spaces, coupling-based distortion costs (upper
 bounds on the order-p Gromov-Kantorovich distance), the Hilbert-Schmidt
 kernel gap and its two distortion bounds, orthogonal Procrustes alignment,
-the eigenvalue matching check, and the grid convergence experiment that
-drives all of it end to end: circle and flat-torus grid embeddings both
-align to the analytic limit map, each row from one n-point circle grid
-embedding (one real DFT of its circulant kernel, no eigensolver) and a few
-circle averages (orbit reduction and product additivity), with no n^k-point
-torus grid and no fine grid.
+and the grid convergence experiment that drives all of it end to end:
+circle and flat-torus grid embeddings both align to the analytic limit map,
+each row from one n-point circle grid embedding (one real DFT of its
+circulant kernel, no eigensolver) and a few circle averages (orbit reduction
+and product additivity), with no n^k-point torus grid and no fine grid.
 
 Distortion costs are never exact optima: the quadratic assignment underneath
 is intractable, and every bound used here is coupling-wise, so explicit
-couplings (independent product, deterministic nearest-point maps) are both
-sufficient and honest. Outputs are labeled as upper bounds.
+couplings (deterministic nearest-point maps here, the independent product in
+the tests) are both sufficient and honest. Outputs are labeled as upper bounds.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .mds_core import DimensionMismatch, circle_grid_embedding
 from .mds_core import double_center, eigendecompose, embed  # noqa: F401  bench/tracer.py wraps this name
-from .spaces import TWO_PI, FiniteSpace, Sphere, Torus, _circle_arc, fourth_moment_norm
+from .spaces import FiniteSpace, Sphere, Torus, _circle_arc, _circle_grid, fourth_moment_norm
 from .spaces import finite_space_from_matrix, sample  # noqa: F401  bench/tracer.py wraps this name
 from .sphere_spectral import eigenvalue_closed
 from .sphere_spectral import eigenvalue_quadrature  # noqa: F401  bench/tracer.py wraps this name
@@ -74,11 +73,6 @@ def make_coupling(G: np.ndarray, A: FiniteSpace, B: FiniteSpace) -> Coupling:
     G = G.copy()
     G.setflags(write=False)
     return Coupling(G=G)
-
-
-def coupling_product(A: FiniteSpace, B: FiniteSpace) -> Coupling:
-    """Independent coupling w_i * w_j."""
-    return make_coupling(np.outer(A.w, B.w), A, B)
 
 
 def coupling_nearest(A: FiniteSpace, B: FiniteSpace, assign: Sequence[int]) -> Coupling:
@@ -150,16 +144,6 @@ def w4_circle_grid(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return math.pi * 5.0 ** (-0.25) / n
-
-
-def w4_circle_grid_numeric(n: int, cells: int = 10_000) -> float:
-    """Discretized transport oracle for :func:`w4_circle_grid`: midpoint rule
-    over the monotone rearrangement that sends each arc cell to its nearest
-    grid point."""
-    t = (np.arange(cells) + 0.5) * TWO_PI / cells
-    step = TWO_PI / n
-    disp = np.abs(((t + step / 2.0) % step) - step / 2.0)
-    return float(np.mean(disp**4) ** 0.25)
 
 
 def hs_gap(A: FiniteSpace, B: FiniteSpace, coupling: Coupling) -> float:
@@ -247,36 +231,6 @@ def procrustes(Xpts: np.ndarray, Ypts: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue perturbation (sorted-order matching)
-
-
-@dataclass(frozen=True, eq=False)
-class PerturbationReport:
-    """Sorted-order eigenvalue matching against the Hilbert-Schmidt norm of
-    the perturbation."""
-
-    sup_gap: float
-    hs_norm: float
-    matching_ok: bool
-
-
-def eigen_perturbation_check(S1: np.ndarray, S2: np.ndarray) -> PerturbationReport:
-    """Verify eigenvalue stability of symmetric matrices under perturbation.
-
-    Sorted eigenvalues are matched in order; the sup matching gap never
-    exceeds the Hilbert-Schmidt (Frobenius) norm of S1 - S2. The outcome is
-    reported, not raised.
-    """
-    S1 = np.asarray(S1, dtype=float)
-    S2 = np.asarray(S2, dtype=float)
-    if S1.shape != S2.shape or S1.ndim != 2 or S1.shape[0] != S1.shape[1]:
-        raise DimensionMismatch(f"need equal square matrices, got {S1.shape}, {S2.shape}")
-    hs = float(np.linalg.norm(S1 - S2))
-    sup_gap = float(np.max(np.abs(np.linalg.eigvalsh(S1) - np.linalg.eigvalsh(S2))))
-    return PerturbationReport(sup_gap=sup_gap, hs_norm=hs, matching_ok=sup_gap <= hs)
-
-
-# ---------------------------------------------------------------------------
 # Convergence experiment on circle and torus grids
 
 
@@ -323,8 +277,8 @@ def _nearest_map_columns(n: int, refine: int, k: int) -> tuple[float, float, flo
     :func:`_sum_moment` of its circle values.
     """
     fine_n = refine * n
-    fine_thetas = TWO_PI * np.arange(fine_n) / fine_n
-    thetas = TWO_PI * np.arange(n) / n
+    fine_thetas = _circle_grid(fine_n)
+    thetas = _circle_grid(n)
     assign = nearest_grid_assignment(fine_n, n)
     row_thetas, row_grid = fine_thetas[:refine, None], thetas[assign[:refine], None]
     d_sq = _circle_arc(row_thetas, fine_thetas) ** 2
@@ -364,7 +318,7 @@ def _grid_row(k: int, n: int, m: int, refine: int) -> ConvergenceRow:
     circle's. The grid weights are uniform."""
     mc = m // k
     E = circle_grid_embedding(n, mc)
-    ref = circle_limit_map(TWO_PI * np.arange(n) / n, mc)
+    ref = circle_limit_map(_circle_grid(n), mc)
     gap, c_fine, w4_map = _nearest_map_columns(n, refine, k)
     return ConvergenceRow(
         n=n,

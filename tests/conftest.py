@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from mdslab.spaces import FiniteSpace, finite_space_from_matrix
+from mdslab.mds_core import EmbeddingResult, double_center, eigendecompose
+from mdslab.spaces import TWO_PI, FiniteSpace, finite_space_from_matrix
+from mdslab.sphere_spectral import _series_log_term
 from mdslab.stability import Coupling, make_coupling
 
 
@@ -52,9 +55,18 @@ def random_metric_space(rng: np.random.Generator, n: int, uniform: bool = True) 
     return finite_space_from_matrix(D, w)
 
 
+def spectral_embedding(space: FiniteSpace) -> EmbeddingResult:
+    return eigendecompose(double_center(space))
+
+
 def coupling_identity(A: FiniteSpace) -> Coupling:
     """Diagonal coupling of a space with itself."""
     return make_coupling(np.diag(A.w), A, A)
+
+
+def coupling_product(A: FiniteSpace, B: FiniteSpace) -> Coupling:
+    """Independent coupling w_i * w_j."""
+    return make_coupling(np.outer(A.w, B.w), A, B)
 
 
 def gw_bruteforce(A: FiniteSpace, B: FiniteSpace, p: int) -> float:
@@ -77,3 +89,80 @@ def gw_bruteforce(A: FiniteSpace, B: FiniteSpace, p: int) -> float:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def w4_circle_grid_numeric(n: int, cells: int = 10_000) -> float:
+    """Discretized transport oracle for ``stability.w4_circle_grid``: midpoint
+    rule over the monotone rearrangement that sends each arc cell to its
+    nearest grid point."""
+    t = (np.arange(cells) + 0.5) * TWO_PI / cells
+    step = TWO_PI / n
+    disp = np.abs(((t + step / 2.0) % step) - step / 2.0)
+    return float(np.mean(disp**4) ** 0.25)
+
+
+class PerturbationReport(NamedTuple):
+    sup_gap: float
+    hs_norm: float
+
+
+def eigen_perturbation_check(S1: np.ndarray, S2: np.ndarray) -> PerturbationReport:
+    """Sorted eigenvalues of two symmetric matrices matched in order: the largest
+    matching gap, which never exceeds the Frobenius norm of S1 - S2, and that norm."""
+    return PerturbationReport(
+        sup_gap=float(np.max(np.abs(np.linalg.eigvalsh(S1) - np.linalg.eigvalsh(S2)))),
+        hs_norm=float(np.linalg.norm(S1 - S2)),
+    )
+
+
+class SignedLog(NamedTuple):
+    """A real number as sign * exp(log_abs); sign 0 means zero."""
+
+    sign: int
+    log_abs: float
+
+
+def coeff(kind: str, n: int) -> SignedLog:
+    """Taylor coefficient of the zonal kernel in powers of the cosine.
+
+    kind "full" gives the coefficients a_n of -arccos(t)^2 / 2:
+    a_0 = -pi^2/8, a_{2j+1} = pi (2j)! / ((2j+1) 2^{2j+1} (j!)^2) > 0,
+    a_{2j+2} = -4^j (j!)^2 / (2 (j+1) (2j+1) (2j)!) < 0. kind "snowflake"
+    gives the coefficients b_n of -arccos(t) / 2: b_0 = -pi/4,
+    b_{2j+1} = a_{2j+1}/pi, and b_n = 0 for even n >= 2. Formed in log space,
+    so large n do not overflow.
+    """
+    if kind not in ("full", "snowflake"):
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    ln2, lnpi = math.log(2.0), math.log(math.pi)
+    if n == 0:
+        return SignedLog(-1, 2.0 * lnpi - math.log(8.0) if kind == "full"
+                         else lnpi - math.log(4.0))
+    if n % 2 == 1:
+        j = (n - 1) // 2
+        log_b = (math.lgamma(2 * j + 1) - math.log(2 * j + 1) - (2 * j + 1) * ln2
+                 - 2.0 * math.lgamma(j + 1))
+        return SignedLog(1, lnpi + log_b if kind == "full" else log_b)
+    if kind == "snowflake":
+        return SignedLog(0, -math.inf)
+    j = (n - 2) // 2
+    return SignedLog(-1, 2 * j * ln2 + 2.0 * math.lgamma(j + 1) - ln2 - math.log(j + 1)
+                     - math.log(2 * j + 1) - math.lgamma(2 * j + 1))
+
+
+def theta(d: int, n: int, s: float) -> SignedLog:
+    """The series summand theta_j(s) of ``sphere_spectral._series_log_term`` at
+    odd degree j = 2n + 1, (sqrt(pi)/8) Gamma(s+n+1/2)^2 / (s! Gamma(s+2n+(d+3)/2));
+    always positive."""
+    return SignedLog(1, float(_series_log_term(d, 2 * n + 1)(np.array([float(s)]))[0]))
+
+
+def s_peak(d: int, n: int) -> int:
+    """Peak location of theta_{2n+1}: ceil((2n-1)^2 / (2(d+3)) - 1), clamped at 0.
+
+    The term ratio theta_{2n+1}(s+1) / theta_{2n+1}(s) =
+    (s+n+1/2)^2 / ((s+1)(s+2n+(d+3)/2)) crosses 1 exactly at
+    s* = (2n-1)^2/(2(d+3)) - 1, so the summand increases up to the ceiling
+    and decreases after.
+    """
+    return max(0, ((2 * n - 1) ** 2 - 1) // (2 * (d + 3)))

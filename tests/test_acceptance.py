@@ -11,14 +11,23 @@ import time
 import numpy as np
 import pytest
 
-from conftest import equilateral_triangle, four_cycle, shortest_path_completion
+from conftest import (
+    coeff,
+    eigen_perturbation_check,
+    equilateral_triangle,
+    four_cycle,
+    s_peak,
+    shortest_path_completion,
+    spectral_embedding,
+    theta,
+    w4_circle_grid_numeric,
+)
 from mdslab.cli import run
 from mdslab.mds_core import (
     double_center,
     eigendecompose,
     embed,
     reconstruction_matrix,
-    spectral_embedding,
 )
 from mdslab.products import torus_check, verify_product_embedding, predict_product_spectrum
 from mdslab.spaces import (
@@ -30,23 +39,18 @@ from mdslab.spaces import (
 )
 from mdslab.sphere_spectral import (
     asymptotic_scan,
-    coeff,
     eigenvalue_quadrature,
     eigenvalue_series,
-    s_peak,
     snowflake_identity_error,
-    theta,
 )
 from mdslab.stability import (
     check_gw_bound,
     check_transport_bound,
     convergence_experiment,
     coupling_nearest,
-    eigen_perturbation_check,
     nearest_grid_assignment,
     procrustes,
     w4_circle_grid,
-    w4_circle_grid_numeric,
 )
 
 TWO_PI = 2.0 * math.pi

@@ -31,7 +31,8 @@ from mdslab.cli import (
     run,
 )
 from mdslab.mds_core import eigendecompose
-from mdslab.spaces import Sphere, Snowflake, Torus, read_space_csv, write_space_csv
+from mdslab.spaces import (Sphere, Snowflake, Torus, finite_space_from_matrix, read_space_csv,
+                           write_space_csv)
 from mdslab.sphere_spectral import eigenvalue_quadrature
 
 
@@ -338,6 +339,22 @@ class TestRun:
                     "--method", "series"])
         assert code == 3
         assert "ToleranceNotReached" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("command", [["mds", "krein"], ["mds", "embed", "--m", "2"]],
+                             ids=["krein", "embed"])
+    def test_overflowing_kernel_exit_3(self, tmp_path, capsys, command, n):
+        # d^2 = 1e310 overflows the kernel to NaN; at n = 2 eigh returns NaN
+        # eigenvalues without raising, and at n = 3 it raises
+        space_csv = tmp_path / "far.csv"
+        write_space_csv(finite_space_from_matrix(1e155 * (1.0 - np.eye(n)), np.full(n, 1.0 / n)),
+                        str(space_csv))
+        out = tmp_path / "x.csv"
+        with pytest.warns(RuntimeWarning) as caught:
+            assert run(command + ["--input", str(space_csv), "--out", str(out)]) == 3
+        assert "overflow encountered in square" in str(caught[0].message)
+        assert "numerical failure: NoConvergence" in capsys.readouterr().err
+        assert not out.exists() and not Path(f"{out}.run.json").exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_series_tolerance_exit_2(self, capsys, tol):

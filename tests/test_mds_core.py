@@ -14,6 +14,7 @@ from conftest import (
     four_cycle,
     random_metric_space,
     shortest_path_completion,
+    spectral_embedding,
 )
 from mdslab.mds_core import (
     DimensionMismatch,
@@ -24,7 +25,6 @@ from mdslab.mds_core import (
     embed,
     embed_negative,
     reconstruction_matrix,
-    spectral_embedding,
     write_embedding_csv,
 )
 from mdslab.spaces import (TWO_PI, BadWeights, SampleSpec, Sphere, _circle_arc, _dist_sq_matrix,

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdslab.products
-from conftest import equilateral_triangle, four_cycle, random_metric_space
-from mdslab.mds_core import circle_grid_embedding, double_center, spectral_embedding
+from conftest import equilateral_triangle, four_cycle, random_metric_space, spectral_embedding
+from mdslab.mds_core import circle_grid_embedding, double_center
 from mdslab.products import (
     predict_product_spectrum,
     product_space,

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import equilateral_triangle, random_metric_space, shortest_path_completion
+from conftest import (equilateral_triangle, random_metric_space, shortest_path_completion,
+                      spectral_embedding)
 from mdslab.mds_core import (
     EmbeddingResult,
     double_center,
     eigendecompose,
     embed,
-    spectral_embedding,
     write_embedding_csv,
 )
 from mdslab.products import product_space

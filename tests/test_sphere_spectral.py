@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import mdslab.sphere_spectral
-from mdslab.mds_core import spectral_embedding
+from conftest import coeff, s_peak, spectral_embedding, theta
 from mdslab.spaces import SampleSpec, Sphere, sample
 from mdslab.sphere_spectral import (
     QUAD_MAX_NODES,
@@ -28,14 +28,11 @@ from mdslab.sphere_spectral import (
     _series_log_term,
     _sum_unimodal,
     asymptotic_scan,
-    coeff,
     eigenvalue_closed,
     eigenvalue_quadrature,
     eigenvalue_series,
     multiplicity,
-    s_peak,
     snowflake_identity_error,
-    theta,
     truncated_embedding_dist_sq,
     zonal_value,
 )
@@ -105,11 +102,11 @@ def zonal_reference(d: int, j: int, t: np.ndarray) -> np.ndarray:
 
 class TestCoefficients:
     def test_pinned_values(self):
-        assert coeff("full", 0).value == pytest.approx(-math.pi**2 / 8)
-        assert coeff("full", 1).value == pytest.approx(math.pi / 2)
-        assert coeff("full", 2).value == pytest.approx(-0.5)
-        assert coeff("snowflake", 0).value == pytest.approx(-math.pi / 4)
-        assert coeff("snowflake", 1).value == pytest.approx(0.5)
+        for kind, n, want in (("full", 0, -math.pi**2 / 8), ("full", 1, math.pi / 2),
+                              ("full", 2, -0.5), ("snowflake", 0, -math.pi / 4),
+                              ("snowflake", 1, 0.5)):
+            c = coeff(kind, n)
+            assert c.sign * math.exp(c.log_abs) == pytest.approx(want)
 
     def test_sign_pattern(self):
         for j in range(0, 40):
@@ -121,7 +118,7 @@ class TestCoefficients:
     def test_snowflake_even_vanish(self):
         for n in range(2, 60, 2):
             b = coeff("snowflake", n)
-            assert b.sign == 0 and b.value == 0.0
+            assert b.sign == 0 and b.log_abs == -math.inf
 
     def test_pi_b_equals_positive_part_of_a(self):
         # log-space identity over n = 1..200
@@ -781,6 +778,26 @@ class TestSnowflakeIdentity:
         assert np.all(gap >= -eps) and np.all(gap <= 4.0 * tail + eps), (gap.min(), gap.max())
         assert gap[0] == pytest.approx(4.0 * tail, abs=eps)
 
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_negative_trace_enclosure(self, d):
+        # The limit's trace is E[theta^2] / 2 over the angle theta between two
+        # uniform points, so the even degrees sum to E[theta^2] / 2 - pi^2 / 4:
+        # -pi^2 / 12 on the circle, -1 on S^2. Every even term is negative and
+        # |lambda_j| N(d, j) decreases in j, so each even term past T is at most
+        # the odd term before it, and for even T
+        # 0 < S_even,T - limit <= pi^2 / 4 - sum_{odd j <= T - 1} lambda_j N(d, j).
+        terms = np.array([eigenvalue_closed(d, j) * multiplicity(d, j) for j in range(1, 2002)])
+        assert np.all(np.abs(terms[1:]) < np.abs(terms[:-1]))
+        with mpmath.workdps(30):
+            def moment(k):
+                return mpmath.quad(lambda t: t**k * mpmath.sin(t) ** (d - 1), [0, mpmath.pi])
+            limit = float(moment(2) / moment(0) / 2 - mpmath.pi**2 / 4)
+        if d <= 2:
+            assert limit == pytest.approx((-math.pi**2 / 12, -1.0)[d - 1], rel=1e-15)
+        gap = np.cumsum(terms[1::2]) - limit  # even T = 2, 4, ..., 2000
+        odd_below = np.cumsum(terms[0:-1:2])  # odd j <= T - 1
+        assert np.all(gap > 0.0) and np.all(gap <= math.pi**2 / 4.0 - odd_below)
+
     def test_d2_identity_coarse(self, rng):
         pts = rng.standard_normal((12, 2, 3))
         pts /= np.linalg.norm(pts, axis=2, keepdims=True)
@@ -793,7 +810,8 @@ class TestAppendixAsymptotics:
     def test_theta_pinned_value(self):
         got = theta(1, 1, 0)
         assert got.sign == 1
-        assert got.value == pytest.approx(math.sqrt(math.pi) * math.pi / 192, rel=1e-12)
+        want = math.sqrt(math.pi) * math.pi / 192
+        assert math.exp(got.log_abs) == pytest.approx(want, rel=1e-12)
 
     def test_theta_ratio_equals_alpha(self, rng):
         for _ in range(20):
