@@ -4,15 +4,15 @@ A run's config is its parsed flags: ``{"command": "<group> <sub>", <flag
 dest>: <value>, ...}``, with ``MDSLAB_SEED`` resolved into ``seed``. Every
 subcommand runs deterministically from its flags and writes its result table
 as CSV (17 significant digits, LF line endings) and a JSON run record next to
-it. The record's hash covers the config JSON, the environment (numpy, its BLAS,
-the BLAS thread count, which changes eigensolver bits, and the sha256 of the
-package's own source) and the sha256 of every input file, taken before the
-command runs. ``stability converge --config FILE`` appends the keys of a JSON
+it (its keys and hash contract: ``_write_run_record``). The record's hash covers
+the config JSON, the environment (numpy, its BLAS, the BLAS thread count, which
+changes eigensolver bits, and the sha256 of the package's own source) and the
+sha256 of every input file, taken before the command runs. ``stability converge --config FILE`` appends the keys of a JSON
 object as ``--key=value`` flags, so the file overrides the flags it names and
 passes through the same parser. Exit codes:
 0 success, 2 for validation or usage errors (unwritable output included) and
 for a run too large for memory (``MemoryError``), 3 for numerical
-non-convergence.
+non-convergence, an overflowing kernel included.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -43,7 +42,6 @@ from .mds_core import (
 from .products import predict_product_spectrum, product_space, torus_check, verify_product_embedding
 from .spaces import (
     AnalyticSpace,
-    SampleSpec,
     Snowflake,
     Sphere,
     Torus,
@@ -79,27 +77,6 @@ CLAIMS = {
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Provenance of one run; identical config hashes imply byte-identical
-    result tables (wall time is informational only). The hash covers the
-    config JSON, the ``env`` JSON (``env.code`` is the sha256 of the package
-    source, so a code change that moves result bytes moves the hash) and the
-    sha256 of every input file, in order.
-    ``claim`` is the command's entry in ``CLAIMS``; it stays out of the hash,
-    which promises bytes, not prose."""
-
-    config_hash: str
-    claim: str
-    version: str
-    wall_time_s: float
-    result_path: str
-    config: dict
-    env: dict
-    input_sha256: list[str]
-    result_sha256: str
 
 
 @lru_cache(maxsize=None)
@@ -172,25 +149,25 @@ def _input_paths(args) -> list[str]:
 
 
 def _write_run_record(config: dict, inputs: list[str], wall: float) -> None:
+    """Write ``<out>.run.json``, the provenance of one run: identical config
+    hashes imply byte-identical result tables (wall time is informational
+    only). The hash covers the config JSON, the ``env`` JSON (``env.code`` is
+    the sha256 of the package source, so a code change that moves result
+    bytes moves the hash) and the sha256 of every input file, in order.
+    ``claim`` is the command's entry in ``CLAIMS``; it stays out of the hash,
+    which promises bytes, not prose."""
     out = config["out"]
     if out is None:
         return
     env = _environment()
     hashed = "\n".join([json.dumps(part, sort_keys=True, separators=(",", ":"))
                         for part in (config, env)] + inputs)
-    record = RunRecord(
-        config_hash=hashlib.sha256(hashed.encode("utf-8")).hexdigest(),
-        claim=CLAIMS[config["command"]],
-        version=__version__,
-        wall_time_s=wall,
-        result_path=out,
-        config=config,
-        env=env,
-        input_sha256=inputs,
-        result_sha256=_file_sha256(out),
-    )
+    record = {"config_hash": hashlib.sha256(hashed.encode("utf-8")).hexdigest(),
+              "claim": CLAIMS[config["command"]], "version": __version__, "wall_time_s": wall,
+              "result_path": out, "config": config, "env": env, "input_sha256": inputs,
+              "result_sha256": _file_sha256(out)}
     with open(out + ".run.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(asdict(record), fh, sort_keys=True, indent=1)
+        json.dump(record, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
@@ -245,7 +222,7 @@ def _config_file_flags(path: str, command: str) -> list[str]:
 
 
 def _cmd_space_gen(args) -> None:
-    fs = sample(parse_space(args.space), SampleSpec(mode=args.mode, n=args.n, seed=args.seed))
+    fs = sample(parse_space(args.space), args.mode, args.n, args.seed)
     write_space_csv(fs, args.out)
     print(f"wrote {fs.n}-point space to {args.out}")
 

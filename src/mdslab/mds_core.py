@@ -24,7 +24,7 @@ from .spaces import BadWeights, FiniteSpace, _circle_arc, _circle_grid, _write_c
 
 
 class NoConvergence(RuntimeError):
-    """The symmetric eigensolver failed to converge."""
+    """The centered kernel overflowed, or the symmetric eigensolver failed to converge."""
 
 
 class DimensionMismatch(ValueError):
@@ -55,20 +55,27 @@ def double_center(space: FiniteSpace) -> CenteredOperator:
     average; S = W^{1/2} K_T W^{1/2} is symmetric and shares the spectrum of
     the centered operator on L^2(mu_n). The steps run in place on one
     n x n array, in the order of the plain expression, so the bits match it.
+    A kernel past the float range (distances above about 1.3e154) raises
+    :class:`NoConvergence` naming the largest distance.
     """
-    K = space.D**2
-    K *= -0.5
     w = space.w
-    r = K @ w
-    g = float(w @ r)
-    K -= r[:, None]
-    K -= r[None, :]
-    K += g
-    sq = np.sqrt(w)
-    K *= sq[:, None]
-    K *= sq[None, :]
-    S = K + K.T
-    S /= 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = space.D**2
+        K *= -0.5
+        r = K @ w
+        g = float(w @ r)
+        K -= r[:, None]
+        K -= r[None, :]
+        K += g
+        sq = np.sqrt(w)
+        K *= sq[:, None]
+        K *= sq[None, :]
+        S = K + K.T
+        S /= 2.0
+    if not np.isfinite(S).all():
+        i, j = np.unravel_index(int(np.argmax(space.D)), space.D.shape)
+        raise NoConvergence(f"the kernel overflows: squared distance D[{i},{j}]^2 with "
+                            f"D[{i},{j}]={float(space.D[i, j])!r} is past the float range")
     S.setflags(write=False)
     return CenteredOperator(S=S, w=w)
 
@@ -84,7 +91,6 @@ class EmbeddingResult:
 
     eigenvalues: np.ndarray
     U: np.ndarray
-    w: np.ndarray
     positive_count: int
     negative_count: int
 
@@ -117,10 +123,6 @@ def eigendecompose(op: CenteredOperator) -> EmbeddingResult:
         )
     try:
         vals, vecs = np.linalg.eigh(op.S)
-        # a kernel that overflowed (d^2 past the float range) reaches eigh as
-        # NaN, and at small n eigh returns NaN values instead of raising
-        if not np.isfinite(vals).all():
-            raise np.linalg.LinAlgError("non-finite eigenvalues")
     except np.linalg.LinAlgError as exc:
         absS = float(np.abs(op.S).max())
         raise NoConvergence(
@@ -141,9 +143,7 @@ def eigendecompose(op: CenteredOperator) -> EmbeddingResult:
     neg = int(np.sum(vals < 0.0))
     vals.setflags(write=False)
     U.setflags(write=False)
-    return EmbeddingResult(
-        eigenvalues=vals, U=U, w=op.w, positive_count=pos, negative_count=neg
-    )
+    return EmbeddingResult(eigenvalues=vals, U=U, positive_count=pos, negative_count=neg)
 
 
 def embed(result: EmbeddingResult, m: int) -> np.ndarray:

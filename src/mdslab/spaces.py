@@ -4,7 +4,8 @@ Two representations live here: ``FiniteSpace`` (an explicit n-point distance
 matrix with probability weights) and a small family of analytic spaces
 (spheres with geodesic distance, snowflake transforms d -> d**alpha, flat
 tori), each metric written once, in the sampler that draws it down to a
-``FiniteSpace``. Products of finite spaces are built in ``products``.
+``FiniteSpace``: ``sample(space, mode, n, seed)``, on a grid or by seeded
+uniform draws. Products of finite spaces are built in ``products``.
 """
 from __future__ import annotations
 
@@ -224,25 +225,6 @@ def _circle_grid(n: int) -> np.ndarray:
     return TWO_PI * np.arange(n) / n
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    """How to draw a finite sample: deterministic grid or seeded uniform draws.
-
-    For tori, ``n`` counts points per circle factor in grid mode and total
-    points in random mode.
-    """
-
-    mode: str
-    n: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("grid", "random"):
-            raise ValueError(f"unknown sample mode {self.mode!r}")
-        if self.n < 1:
-            raise ValueError(f"sample size must be >= 1, got {self.n}")
-
-
 def _pairwise(space: AnalyticSpace, mode: str, n: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(space, Sphere):
         if mode == "grid":
@@ -281,17 +263,22 @@ def _dist_sq_matrix(points: np.ndarray) -> np.ndarray:
     return np.maximum(sq[:, None] + sq[None, :] - 2.0 * points @ points.T, 0.0)
 
 
-def sample(space: AnalyticSpace, spec: SampleSpec) -> FiniteSpace:
+def sample(space: AnalyticSpace, mode: str, n: int, seed: int = 0) -> FiniteSpace:
     """Sample an analytic space down to a uniformly weighted ``FiniteSpace``.
 
-    Grid mode is deterministic (seed-independent): the circle grid sits at
-    angles 2*pi*i/n and torus grids are Cartesian products of circle grids.
-    Random-mode draws are uniform and reproducible from the seed; sphere
+    ``mode`` is ``"grid"`` or ``"random"``; for tori ``n`` counts points per
+    circle factor in grid mode and total points in random mode. Grid mode is
+    deterministic (seed-independent): the circle grid sits at angles
+    2*pi*i/n and torus grids are Cartesian products of circle grids.
+    Random-mode draws are uniform and reproducible from ``seed``; sphere
     draws are normalized standard Gaussian vectors, which makes the law
     exactly rotation invariant.
     """
-    rng = np.random.default_rng(spec.seed)
-    D = _pairwise(space, spec.mode, spec.n, rng)
+    if mode not in ("grid", "random"):
+        raise ValueError(f"unknown sample mode {mode!r}")
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n}")
+    D = _pairwise(space, mode, n, np.random.default_rng(seed))
     m = D.shape[0]
     return _metric_space(D, np.full(m, 1.0 / m))
 

@@ -13,7 +13,10 @@ at odd j and 0 at even j >= 2; background: Schoenberg, "Positive definite
 functions on spheres", 1942). It is the normalization under which the
 truncated embedding satisfies ||M(x) - M(y)||^2 = pi * dist(x, y), and the
 only eigenvalue source of that identity, the n^{-d-1} decay scan and the
-circle limit map. Two independent evaluators stay as its oracles:
+circle limit map. The identity's weights lambda_j N(d, j) are the same
+integer ratio times the multiplicity, divided once, so they stay correctly
+rounded where lambda_j underflows and N(d, j) overflows a float. Two
+independent evaluators stay as its oracles:
 
 * a power series: pairing the Taylor series of arccos^2 with the degree-j
   harmonic and simplifying by the duplication formula gives
@@ -408,43 +411,54 @@ def eigenvalue_closed(d: int, j: int) -> float:
     each taken as its exact integer ratio, so odd-d values are correctly
     rounded and even-d values are within a few 1e-16 relative.
     """
+    num, den = _closed_ratio(d, j)
+    return (1.0 if j % 2 == 1 else -1.0) * (num / den)
+
+
+def _closed_ratio(d: int, j: int) -> tuple[int, int]:
+    """|lambda_j| of S^d as the integer ratio that ``eigenvalue_closed`` divides once."""
     if not 1 <= d <= 1000:
         raise ValueError(f"the closed form covers sphere dimensions 1..1000, got {d}")
     if j < 1:
         raise ValueError(f"the closed form needs degree >= 1, got {j}")
-    sign = 1.0 if j % 2 == 1 else -1.0
     base = 2 - d % 2
     num = math.prod(range(base + 1, d, 2)) ** 2
     den = (math.prod(range(j + base + 1, j + d, 2)) * (j if base == 1 else 2 * (j + 1))) ** 2
     if base == 1:
-        return sign * (num / den)
+        return num, den
     pi_num, pi_den = math.pi.as_integer_ratio()
     if j < _HALF_SHIFT_FROM_DEGREE:
         n = j // 2
         c = math.comb(2 * n, n)
         if j % 2 == 0:
-            return sign * (num * 16**n / (den * (n * c) ** 2))
-        return sign * (num * (c * pi_num) ** 2 / (den * (4**n * pi_den) ** 2))
+            return num * 16**n, den * (n * c) ** 2
+        return num * (c * pi_num) ** 2, den * (4**n * pi_den) ** 2
     e_num, e_den = math.exp(2.0 * _odd_power_series(_HALF_SHIFT, 2.0 / j)).as_integer_ratio()
-    return sign * (2 * num * pi_num * e_num / (j * den * pi_den * e_den))
+    return 2 * num * pi_num * e_num, j * den * pi_den * e_den
 
 
 # ---------------------------------------------------------------------------
 # The snowflake distance identity
 
 
+def _closed_weight(d: int, j: int) -> float:
+    """|lambda_j| N(d, j) as one correctly rounded quotient of Python integers."""
+    num, den = _closed_ratio(d, j)
+    return num * multiplicity(d, j) / den
+
+
 def truncated_embedding_dist_sq(d: int, trunc_degree: int, cos_angles: np.ndarray,
-                                eigenvalues: dict[int, float]) -> np.ndarray:
+                                weights: dict[int, float]) -> np.ndarray:
     """Truncated squared embedding distance between sphere points at the given
-    cosines of geodesic angle, from the table ``eigenvalues`` (odd degree j ->
-    lambda_j of the full kernel):
+    cosines of geodesic angle, from the table ``weights`` (odd degree j ->
+    lambda_j N(d, j), the full kernel's eigenvalue times its multiplicity):
 
         sum_{j odd <= trunc} 2 lambda_j N(d, j) (1 - G_j(cos theta)),
 
     where G_j is the normalized zonal function, every degree from one recurrence pass.
     """
     cos_angles = np.asarray(cos_angles, dtype=float)
-    return sum((2.0 * eigenvalues[j] * multiplicity(d, j) * (1.0 - g)
+    return sum((2.0 * weights[j] * (1.0 - g)
                 for j, g in enumerate(_zonal_values(d, trunc_degree, cos_angles)) if j % 2),
                np.zeros_like(cos_angles))
 
@@ -453,24 +467,26 @@ def snowflake_identity_error(d: int, trunc_degree: int, pairs: Sequence[tuple]) 
     """Max over point pairs of | ||M(x) - M(y)||^2_trunc - pi * dist(x, y) |.
 
     ``pairs`` holds (x, y) unit vectors in R^{d+1}. The truncated embedding
-    distance is built from the closed-form eigenvalues of the full kernel over
-    odd degrees up to ``trunc_degree`` = T. Odd-degree lambda_j are positive and
-    0 <= 1 - G_j <= 2, so pi times the geodesic distance exceeds it by between
-    0 and 4 tail_T, tail_T = sum_{j odd > T} lambda_j N(d, j). At antipodal
-    points 1 - G_j = 2 at every odd j, so the full identity gives
-    sum_{j odd} lambda_j N(d, j) = pi^2 / 4, and the bound is the finite
-    4 (pi^2 / 4 - sum_{j odd <= T} lambda_j N(d, j)), attained there.
+    distance is built from the closed form of the full kernel over odd degrees
+    up to ``trunc_degree`` = T, each weight lambda_j N(d, j) one correctly
+    rounded quotient of Python integers: in floats lambda_j underflows and
+    N(d, j) overflows (from about j = 300 at d = 1000). Odd-degree lambda_j
+    are positive and 0 <= 1 - G_j <= 2, so pi times the geodesic distance
+    exceeds it by between 0 and 4 tail_T, tail_T = sum_{j odd > T} lambda_j
+    N(d, j). At antipodal points 1 - G_j = 2 at every odd j, so the full
+    identity gives sum_{j odd} lambda_j N(d, j) = pi^2 / 4, and the bound is
+    the finite 4 (pi^2 / 4 - sum_{j odd <= T} lambda_j N(d, j)), attained there.
     """
     if trunc_degree < 1:
         raise ValueError(f"truncation degree must be >= 1, got {trunc_degree}")
     xy = np.asarray(pairs, dtype=float)
     if xy.ndim != 3 or xy.shape[1:] != (2, d + 1):
         raise ValueError(f"need pairs of vectors in R^{d + 1}, got shape {xy.shape}")
-    lam = {j: eigenvalue_closed(d, j) for j in range(1, trunc_degree + 1, 2)}
+    weights = {j: _closed_weight(d, j) for j in range(1, trunc_degree + 1, 2)}
     x, y = xy[:, 0], xy[:, 1]
     cosines = np.clip(np.sum(x * y, axis=1), -1.0, 1.0)
     cosines[np.all(x == y, axis=1)] = 1.0
-    sq = truncated_embedding_dist_sq(d, trunc_degree, cosines, lam)
+    sq = truncated_embedding_dist_sq(d, trunc_degree, cosines, weights)
     return float(np.max(np.abs(sq - math.pi * np.arccos(cosines))))
 
 
@@ -495,8 +511,9 @@ class AsymptoticScan:
 
 def asymptotic_scan(d: int, n_values: Sequence[int]) -> AsymptoticScan:
     """Scan lambda_{2n+1} for n >= 1, with ``normalized`` formed in log space so
-    that n^{d+1} cannot overflow; an n whose lambda_{2n+1} is below the
-    smallest normal float raises ``ValueError``."""
+    that n^{d+1} cannot overflow. An n whose lambda_{2n+1} is below the
+    smallest normal float, or whose n^{d+1} lambda_{2n+1} is above the largest
+    float (at d = 300 from n = 15), raises ``ValueError``."""
     n_arr = np.array(sorted(n_values), dtype=int)
     if n_arr.size and n_arr[0] < 1:
         raise ValueError(f"the scan needs n >= 1, got {n_arr[0]}")
@@ -506,5 +523,11 @@ def asymptotic_scan(d: int, n_values: Sequence[int]) -> AsymptoticScan:
         n_bad = int(n_arr[np.argmax(lam < tiny)])
         raise ValueError(f"lambda_{2 * n_bad + 1} of S^{d} (n = {n_bad}) is below the "
                          f"smallest normal float {tiny}")
-    normalized = np.exp(np.log(lam) + (d + 1) * np.log(n_arr))
+    log_norm = np.log(lam) + (d + 1) * np.log(n_arr)
+    big = log_norm > math.log(np.finfo(float).max)
+    if np.any(big):
+        n_bad = int(n_arr[np.argmax(big)])
+        raise ValueError(f"{n_bad}^{d + 1} lambda_{2 * n_bad + 1} of S^{d} (n = {n_bad}) "
+                         f"is above the largest float {np.finfo(float).max}")
+    normalized = np.exp(log_norm)
     return AsymptoticScan(n_values=n_arr, lam=lam, normalized=normalized)

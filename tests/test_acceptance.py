@@ -23,15 +23,9 @@ from conftest import (
     w4_circle_grid_numeric,
 )
 from mdslab.cli import run
-from mdslab.mds_core import (
-    double_center,
-    eigendecompose,
-    embed,
-    reconstruction_matrix,
-)
+from mdslab.mds_core import embed, reconstruction_matrix
 from mdslab.products import torus_check, verify_product_embedding, predict_product_spectrum
 from mdslab.spaces import (
-    SampleSpec,
     Sphere,
     finite_space_from_matrix,
     sample,
@@ -205,8 +199,8 @@ def test_criterion_08_appendix_asymptotics():
 def test_criterion_09_stability_bounds():
     for n in (16, 32, 64, 128):
         fine_n = 8 * n
-        fine = sample(Sphere(1), SampleSpec("grid", fine_n))
-        coarse = sample(Sphere(1), SampleSpec("grid", n))
+        fine = sample(Sphere(1), "grid", fine_n)
+        coarse = sample(Sphere(1), "grid", n)
         assign = nearest_grid_assignment(fine_n, n)
         coup = coupling_nearest(fine, coarse, assign)
         assert check_gw_bound(fine, coarse, coup).ok

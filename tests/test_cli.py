@@ -305,20 +305,27 @@ class TestRun:
     @pytest.mark.parametrize("argv,error", [
         (["sphere", "asymptotics", "--dim", "1", "--nmin", "0", "--nmax", "3"], "ConfigError"),
         (["sphere", "asymptotics", "--dim", "1", "--nmin", "5", "--nmax", "3"], "ConfigError"),
+        # n^(d+1) lambda_(2n+1) is past the float range from n = 15; the suite
+        # turns numpy's overflow warning into an error, so none may escape
+        (["sphere", "asymptotics", "--dim", "300", "--nmin", "5", "--nmax", "160"],
+         "ValueError: 15^301 lambda_31 of S^300 (n = 15) is above the largest float"),
         (["torus", "check", "--n", "16", "--k", "0", "--trunc", "3"], "ConfigError"),
         (["torus", "check", "--n", "16", "--k", "1", "--trunc", "3", "--pairs", "0"],
          "ConfigError"),
         (["torus", "check", "--n", "16", "--k", "1", "--trunc", "4"], "ConfigError"),
         (["space", "gen", "--space", "circle:3", "--n", "8"],
          "ConfigError: trailing tokens in space spec 'circle:3'"),
+        (["space", "gen", "--space", "circle", "--n", "0"],
+         "ValueError: sample size must be >= 1, got 0"),
         (["sphere", "eigen", "--dim", "2", "--degree", "3", "--method", "series",
           "--kind", "snowflake"], "ConfigError: the series evaluator covers the full kernel only"),
         (["product", "check", "--factors", "one.csv"],
          "ConfigError: product check needs exactly two factor files"),
         (["mds", "embed", "--input", "one.csv", "--m", "0"],
          "DimensionMismatch: embedding dimension must be >= 1, got 0"),
-    ], ids=["nmin_zero", "nmin_above_nmax", "k_zero", "pairs_zero", "trunc_even",
-            "trailing_space_tokens", "series_snowflake", "one_factor", "m_zero"])
+    ], ids=["nmin_zero", "nmin_above_nmax", "normalized_overflow", "k_zero", "pairs_zero",
+            "trunc_even", "trailing_space_tokens", "n_zero", "series_snowflake", "one_factor",
+            "m_zero"])
     def test_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, argv, error):
         monkeypatch.chdir(tmp_path)
         write_space_csv(equilateral_triangle(), "one.csv")  # a real input, hashed before the run
@@ -344,16 +351,15 @@ class TestRun:
     @pytest.mark.parametrize("command", [["mds", "krein"], ["mds", "embed", "--m", "2"]],
                              ids=["krein", "embed"])
     def test_overflowing_kernel_exit_3(self, tmp_path, capsys, command, n):
-        # d^2 = 1e310 overflows the kernel to NaN; at n = 2 eigh returns NaN
-        # eigenvalues without raising, and at n = 3 it raises
+        # d^2 = 1e310 overflows the kernel; the suite turns any RuntimeWarning
+        # into an error, so this also checks that none escapes
         space_csv = tmp_path / "far.csv"
         write_space_csv(finite_space_from_matrix(1e155 * (1.0 - np.eye(n)), np.full(n, 1.0 / n)),
                         str(space_csv))
         out = tmp_path / "x.csv"
-        with pytest.warns(RuntimeWarning) as caught:
-            assert run(command + ["--input", str(space_csv), "--out", str(out)]) == 3
-        assert "overflow encountered in square" in str(caught[0].message)
-        assert "numerical failure: NoConvergence" in capsys.readouterr().err
+        assert run(command + ["--input", str(space_csv), "--out", str(out)]) == 3
+        assert ("numerical failure: NoConvergence: the kernel overflows: squared distance "
+                "D[0,1]^2 with D[0,1]=1e+155 is past the float range") in capsys.readouterr().err
         assert not out.exists() and not Path(f"{out}.run.json").exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])

@@ -27,7 +27,7 @@ from mdslab.mds_core import (
     reconstruction_matrix,
     write_embedding_csv,
 )
-from mdslab.spaces import (TWO_PI, BadWeights, SampleSpec, Sphere, _circle_arc, _dist_sq_matrix,
+from mdslab.spaces import (TWO_PI, BadWeights, Sphere, _circle_arc, _dist_sq_matrix,
                            _read_csv, finite_space_from_matrix, sample)
 from mdslab.stability import procrustes
 
@@ -108,7 +108,7 @@ class TestEigendecompose:
     def test_orthonormal_in_weighted_l2(self, rng):
         fs = random_metric_space(rng, 23, uniform=False)
         res = spectral_embedding(fs)
-        gram = res.U.T @ (res.U * res.w[:, None])
+        gram = res.U.T @ (res.U * fs.w[:, None])
         assert np.max(np.abs(gram - np.eye(fs.n))) <= 1e-10
 
     def test_positive_eigenvalue_exists(self, rng):
@@ -311,7 +311,7 @@ class TestEmbeddingCsv:
 def circle_grid_decomposition(n: int):
     """The eigensolver route on the uniform n-point circle grid: the oracle
     of ``circle_grid_embedding``."""
-    return eigendecompose(double_center(sample(Sphere(1), SampleSpec("grid", n))))
+    return eigendecompose(double_center(sample(Sphere(1), "grid", n)))
 
 
 def snowflake_error(E: np.ndarray) -> float:

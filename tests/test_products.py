@@ -17,7 +17,7 @@ from mdslab.products import (
     torus_check,
     verify_product_embedding,
 )
-from mdslab.spaces import SampleSpec, Sphere, finite_space_from_matrix, sample
+from mdslab.spaces import Sphere, finite_space_from_matrix, sample
 
 
 def product_and_factor_spectra(A, B):
@@ -69,7 +69,7 @@ class TestSpectrumMerge:
         assert np.allclose(np.sort(nz_d), np.sort(nz_a), atol=1e-10)
 
     def test_circle_grids_8x8(self):
-        circ = sample(Sphere(1), SampleSpec("grid", 8))
+        circ = sample(Sphere(1), "grid", 8)
         res = spectral_embedding(circ)
         merged = predict_product_spectrum(res, res)
         direct = spectral_embedding(product_space(circ, circ))

@@ -29,7 +29,6 @@ from mdslab.spaces import (
     NegativeDistance,
     NonFiniteValue,
     NonzeroDiagonal,
-    SampleSpec,
     Snowflake,
     Sphere,
     Torus,
@@ -117,7 +116,7 @@ class TestFiniteSpaceValidation:
             finite_space_from_matrix(D, [1 / 3] * 3)
 
     def test_planted_violation_found_and_named_at_1024(self):
-        D = np.array(sample(Sphere(1), SampleSpec(mode="grid", n=1024)).D)
+        D = np.array(sample(Sphere(1), "grid", 1024).D)
         D[0, 2] += 1e-6
         D[2, 0] = D[0, 2]
         with pytest.raises(TriangleViolation) as err:
@@ -183,41 +182,45 @@ def test_circle_arc_on_grid_angles_equals_modulo_form(n, data):
 
 class TestSampling:
     def test_circle_grid_4(self):
-        fs = sample(Sphere(1), SampleSpec(mode="grid", n=4))
+        fs = sample(Sphere(1), "grid", 4)
         assert fs.n == 4
         assert np.allclose(fs.w, 0.25)
         assert fs.D[0, 1] == pytest.approx(math.pi / 2)
         assert fs.D[0, 2] == pytest.approx(math.pi)
 
     def test_circle_grid_2(self):
-        fs = sample(Sphere(1), SampleSpec(mode="grid", n=2))
+        fs = sample(Sphere(1), "grid", 2)
         assert fs.D[0, 1] == pytest.approx(math.pi)
 
     def test_torus_grid_counts(self):
-        fs = sample(Torus(2), SampleSpec(mode="grid", n=4))
+        fs = sample(Torus(2), "grid", 4)
         assert fs.n == 16
         assert np.allclose(fs.w, 1.0 / 16.0)
 
     def test_sphere2_grid_unsupported(self):
         with pytest.raises(GridUnsupported):
-            sample(Sphere(2), SampleSpec(mode="grid", n=10))
+            sample(Sphere(2), "grid", 10)
 
     def test_random_reproducible(self):
-        spec = SampleSpec(mode="random", n=20, seed=99)
-        a = sample(Sphere(2), spec)
-        b = sample(Sphere(2), spec)
+        a = sample(Sphere(2), "random", 20, seed=99)
+        b = sample(Sphere(2), "random", 20, seed=99)
         assert np.array_equal(a.D, b.D)
-        c = sample(Sphere(2), SampleSpec(mode="random", n=20, seed=100))
+        c = sample(Sphere(2), "random", 20, seed=100)
         assert not np.array_equal(a.D, c.D)
 
     def test_grid_seed_independent(self):
-        a = sample(Sphere(1), SampleSpec(mode="grid", n=8, seed=1))
-        b = sample(Sphere(1), SampleSpec(mode="grid", n=8, seed=2))
+        a = sample(Sphere(1), "grid", 8, seed=1)
+        b = sample(Sphere(1), "grid", 8, seed=2)
         assert np.array_equal(a.D, b.D)
 
+    @pytest.mark.parametrize("mode, n", [("lattice", 4), ("grid", 0), ("random", 0)])
+    def test_bad_mode_or_size(self, mode, n):
+        with pytest.raises(ValueError, match="unknown sample mode|sample size must be >= 1"):
+            sample(Sphere(1), mode, n)
+
     def test_snowflake_sampling_matches_power(self):
-        base = sample(Sphere(1), SampleSpec(mode="grid", n=8))
-        snow = sample(Snowflake(Sphere(1), 0.5), SampleSpec(mode="grid", n=8))
+        base = sample(Sphere(1), "grid", 8)
+        snow = sample(Snowflake(Sphere(1), 0.5), "grid", 8)
         assert np.array_equal(snow.D, base.D**0.5)
 
 
@@ -233,7 +236,7 @@ class TestFourthMoment:
         limit = math.pi * 5.0 ** (-0.25)
         prev_gap = math.inf
         for n in (8, 32, 128, 512):
-            gap = abs(fourth_moment_norm(sample(Sphere(1), SampleSpec("grid", n))) - limit)
+            gap = abs(fourth_moment_norm(sample(Sphere(1), "grid", n)) - limit)
             assert gap < prev_gap or gap < 1e-12
             prev_gap = gap
         assert prev_gap < 1e-4
@@ -297,7 +300,7 @@ def test_csv_codec_lossless_and_matches_cell_format(tmp_path_factory, table):
     assert header == want[0]
     assert bits(back) == bits(np.vstack([M, row]))
 
-    write_embedding_csv(EmbeddingResult(eigenvalues=row, U=M, w=row, positive_count=0,
+    write_embedding_csv(EmbeddingResult(eigenvalues=row, U=M, positive_count=0,
                                         negative_count=0), str(emb_path))
     want = [reference_csv_row(row)] + [reference_csv_row(r) for r in M]
     assert emb_path.read_bytes() == ("\n".join(want) + "\n").encode()
@@ -407,7 +410,7 @@ def _image_space(points: np.ndarray, w: np.ndarray) -> FiniteSpace:
 
 
 def _circle_image(n: int, limit: bool):
-    fs = sample(Sphere(1), SampleSpec(mode="grid", n=n))
+    fs = sample(Sphere(1), "grid", n)
     points = (circle_limit_map(2.0 * math.pi * np.arange(n) / n, 4) if limit
               else embed(eigendecompose(double_center(fs)), 4))
     return _image_space(points, fs.w)
@@ -415,15 +418,13 @@ def _circle_image(n: int, limit: bool):
 
 # Every kind of space the library builds without the triangle check.
 METRIC_BY_CONSTRUCTION = {
-    "circle_grid_512": lambda: sample(Sphere(1), SampleSpec(mode="grid", n=512)),
-    "sphere2_random_640": lambda: sample(
-        Sphere(2), SampleSpec(mode="random", n=640, seed=1)),
-    "torus2_grid": lambda: sample(Torus(2), SampleSpec(mode="grid", n=16)),
-    "snowflake_circle_0.5_grid": lambda: sample(
-        Snowflake(Sphere(1), 0.5), SampleSpec(mode="grid", n=256)),
+    "circle_grid_512": lambda: sample(Sphere(1), "grid", 512),
+    "sphere2_random_640": lambda: sample(Sphere(2), "random", 640, seed=1),
+    "torus2_grid": lambda: sample(Torus(2), "grid", 16),
+    "snowflake_circle_0.5_grid": lambda: sample(Snowflake(Sphere(1), 0.5), "grid", 256),
     "product_space": lambda: product_space(
-        sample(Sphere(1), SampleSpec(mode="grid", n=20)),
-        sample(Sphere(2), SampleSpec(mode="random", n=32, seed=1))),
+        sample(Sphere(1), "grid", 20),
+        sample(Sphere(2), "random", 32, seed=1)),
     "image_space_embedding": lambda: _circle_image(256, limit=False),
     "image_space_limit_map": lambda: _circle_image(256, limit=True),
 }

@@ -17,12 +17,13 @@ from scipy.special import gammaln
 
 import mdslab.sphere_spectral
 from conftest import coeff, s_peak, spectral_embedding, theta
-from mdslab.spaces import SampleSpec, Sphere, sample
+from mdslab.spaces import Sphere, sample
 from mdslab.sphere_spectral import (
     QUAD_MAX_NODES,
     QUAD_TOL_FUNK,
     QuadratureNotConverged,
     ToleranceNotReached,
+    _closed_weight,
     _gauss_legendre,
     _zonal_values,
     _series_log_term,
@@ -67,6 +68,15 @@ def mpmath_closed(d: int, j: int) -> float:
         value = (-1) ** (j + 1) * root**2
         man, exp = value.man_exp
         return math.copysign(float(Fraction(man) * Fraction(2) ** exp), value)
+
+
+def mpmath_weight(d: int, j: int) -> mpmath.mpf:
+    """|lambda_j| N(d, j) of S^d from 40-digit mpmath gammas and the exact multiplicity."""
+    with mpmath.workdps(40):
+        half = mpmath.mpf(d + 1) / 2
+        x = mpmath.mpf(j) / 2
+        return (mpmath.gamma(half) * mpmath.gamma(x) / (2 * mpmath.gamma(x + half))) ** 2 \
+            * multiplicity(d, j)
 
 
 def count_series_terms(monkeypatch, d: int, j: int) -> int:
@@ -728,12 +738,12 @@ class TestSnowflakeIdentity:
         assert err <= 0.05
 
     def test_classical_fourier_sum_with_exact_eigenvalues(self):
-        # with lambda_k = 1/k^2 the truncated sum 4 sum (1-cos k theta)/k^2
-        # approaches pi |theta| up to the exact tail 8 sum_{k>T odd} 1/k^2
+        # with lambda_k = 1/k^2 (weight lambda_k N(1, k) = 2/k^2) the truncated sum
+        # 4 sum (1-cos k theta)/k^2 approaches pi |theta| up to the exact tail 8 sum_{k>T odd} 1/k^2
         trunc = 99
-        lam = {k: 1.0 / k**2 for k in range(1, trunc + 1, 2)}
+        weights = {k: 2.0 / k**2 for k in range(1, trunc + 1, 2)}
         thetas = np.linspace(0.0, math.pi, 17)
-        got = truncated_embedding_dist_sq(1, trunc, np.cos(thetas), lam)
+        got = truncated_embedding_dist_sq(1, trunc, np.cos(thetas), weights)
         # exact tail: sum over odd k of 1/k^2 is pi^2/8
         tail = math.pi**2 - 8.0 * sum(1.0 / k**2 for k in range(1, trunc + 1, 2))
         assert np.all(np.abs(got - math.pi * thetas) <= tail + 1e-12)
@@ -767,16 +777,40 @@ class TestSnowflakeIdentity:
         # 0 <= pi theta - ||M(x) - M(y)||^2_T <= 4 tail_T, with the tail
         # tail_T = pi^2 / 4 - sum_{j odd <= T} lambda_j N(d, j) from the identity at
         # antipodal points, where the upper bound is attained
-        lam = {j: eigenvalue_closed(d, j) for j in range(1, trunc + 1, 2)}
-        tail = math.pi**2 / 4.0 - sum(lam[j] * multiplicity(d, j) for j in lam)
+        weights = {j: eigenvalue_closed(d, j) * multiplicity(d, j) for j in range(1, trunc + 1, 2)}
+        tail = math.pi**2 / 4.0 - sum(weights.values())
         pts = np.random.default_rng(seed).standard_normal((20, 2, d + 1))
         pts /= np.linalg.norm(pts, axis=2, keepdims=True)
         cosines = np.clip(np.sum(pts[:, 0] * pts[:, 1], axis=1), -1.0, 1.0)
         cosines[:2] = (-1.0, 1.0)  # an antipodal and an identical pair
-        gap = math.pi * np.arccos(cosines) - truncated_embedding_dist_sq(d, trunc, cosines, lam)
+        gap = math.pi * np.arccos(cosines) - truncated_embedding_dist_sq(d, trunc, cosines, weights)
         eps = 1e-12
         assert np.all(gap >= -eps) and np.all(gap <= 4.0 * tail + eps), (gap.min(), gap.max())
         assert gap[0] == pytest.approx(4.0 * tail, abs=eps)
+
+    @pytest.mark.parametrize("d, trunc", [(1000, 999), (500, 531), (200, 2531)])
+    def test_enclosure_past_float_multiplicities(self, d, trunc):
+        # N(d, trunc) is past the float range, and at d = 1000 lambda_j is
+        # subnormal from about j = 303 and 0.0 at j = 999; the weights are integer
+        # quotients, so the certified enclosure holds, with tail_T from mpmath
+        with mpmath.workdps(40):
+            tail = float(mpmath.pi**2 / 4
+                         - mpmath.fsum(mpmath_weight(d, j) for j in range(1, trunc + 1, 2)))
+        weights = {j: _closed_weight(d, j) for j in range(1, trunc + 1, 2)}
+        cosines = np.linspace(-1.0, 1.0, 41)
+        gap = math.pi * np.arccos(cosines) - truncated_embedding_dist_sq(d, trunc, cosines, weights)
+        eps = 1e-12
+        assert np.all(gap >= -eps) and np.all(gap <= 4.0 * tail + eps), (gap.min(), gap.max())
+        e0 = np.eye(d + 1)[0]
+        x, y = np.random.default_rng(d).standard_normal((2, d + 1))
+        err = snowflake_identity_error(
+            d, trunc, [(e0, -e0), (e0, e0), (x / np.linalg.norm(x), y / np.linalg.norm(y))])
+        assert math.isfinite(err) and err == pytest.approx(4.0 * tail, abs=eps)
+
+    @pytest.mark.parametrize("j", [301, 309, 999])
+    def test_weights_past_float_range_d1000(self, j):
+        assert _closed_weight(1000, j) == pytest.approx(float(mpmath_weight(1000, j)),
+                                                       rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_negative_trace_enclosure(self, d):
@@ -889,7 +923,7 @@ class TestAppendixAsymptotics:
 
 class TestCrossModuleCircleSpectrum:
     def test_grid_operator_matches_fourier_eigenvalues(self):
-        fs = sample(Sphere(1), SampleSpec(mode="grid", n=512))
+        fs = sample(Sphere(1), "grid", 512)
         res = spectral_embedding(fs)
         lam = np.sort(res.eigenvalues)[::-1]
         # positive eigenvalues per odd degree k, negative per even degree

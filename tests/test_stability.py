@@ -17,7 +17,7 @@ from conftest import (coupling_identity, coupling_product, eigen_perturbation_ch
 from mdslab.mds_core import (DimensionMismatch, circle_grid_embedding, double_center,
                              eigendecompose, embed)
 from mdslab.products import torus_check
-from mdslab.spaces import (FiniteSpace, SampleSpec, Sphere, Torus, finite_space_from_matrix,
+from mdslab.spaces import (FiniteSpace, Sphere, Torus, finite_space_from_matrix,
                            fourth_moment_norm, sample)
 from mdslab.stability import (
     MarginalMismatch,
@@ -77,8 +77,8 @@ class TestCouplings:
         assert np.allclose(c.G, 0.25)
 
     def test_nearest_refinement_mass(self):
-        fine = sample(Sphere(1), SampleSpec("grid", 16))
-        coarse = sample(Sphere(1), SampleSpec("grid", 8))
+        fine = sample(Sphere(1), "grid", 16)
+        coarse = sample(Sphere(1), "grid", 8)
         c = coupling_nearest(fine, coarse, nearest_grid_assignment(16, 8))
         assert np.allclose(c.col_marginal, 1.0 / 8.0)
         assert np.allclose(c.row_marginal, 1.0 / 16.0)
@@ -263,8 +263,8 @@ class TestHsGapAndBounds:
     def test_circle_refinement_bounds_hold(self):
         for n in (16, 32):
             fine_n = 8 * n
-            fine = sample(Sphere(1), SampleSpec("grid", fine_n))
-            coarse = sample(Sphere(1), SampleSpec("grid", n))
+            fine = sample(Sphere(1), "grid", fine_n)
+            coarse = sample(Sphere(1), "grid", n)
             assign = nearest_grid_assignment(fine_n, n)
             coup = coupling_nearest(fine, coarse, assign)
             rep = check_gw_bound(fine, coarse, coup)
@@ -349,8 +349,8 @@ class TestEigenPerturbation:
             assert rep.sup_gap <= rep.hs_norm
 
     def test_circle_grid_pullback_matching(self):
-        fine = sample(Sphere(1), SampleSpec("grid", 32))
-        coarse = sample(Sphere(1), SampleSpec("grid", 16))
+        fine = sample(Sphere(1), "grid", 32)
+        coarse = sample(Sphere(1), "grid", 16)
         assign = nearest_grid_assignment(32, 16)
         op_fine = double_center(fine)
         # the coarse operator pulled back to the fine index set through the map
@@ -374,8 +374,8 @@ def explicit_grid_coupling(k: int, n: int, refine: int):
     nearest-point coupling between them and its order-4 map cost, built
     explicitly (k = 1 is the circle)."""
     fine_n = refine * n
-    fine = sample(Torus(k), SampleSpec("grid", fine_n))
-    grid = sample(Torus(k), SampleSpec("grid", n))
+    fine = sample(Torus(k), "grid", fine_n)
+    grid = sample(Torus(k), "grid", n)
     a = nearest_grid_assignment(fine_n, n)
     idx = np.meshgrid(*[a] * k, indexing="ij")
     assign = np.ravel_multi_index([x.ravel() for x in idx], (n,) * k)
@@ -495,7 +495,7 @@ def explicit_grid_row(k: int, n: int, m: int) -> tuple[float, float]:
     """Aligned residual and full-pair image distortion of the explicit
     ``torus:k`` grid embedding (k = 1 is the circle) against the limit map,
     with one circle map of m // k columns per factor in left-major order."""
-    grid = sample(Torus(k), SampleSpec("grid", n))
+    grid = sample(Torus(k), "grid", n)
     E = embed(eigendecompose(double_center(grid)), m)
     thetas = TWO_PI * np.arange(n) / n
     ref = np.hstack([circle_limit_map(a.ravel(), m // k)
@@ -549,7 +549,7 @@ class TestRowsFromOneCircle:
         # the sweep's guard: the top mc circle eigenvalues are whole positive
         # pairs, split from the next one, exactly when n >= 2 mc - 1
         for n in range(1, 40):
-            vals = eigendecompose(double_center(sample(Sphere(1), SampleSpec("grid", n))))
+            vals = eigendecompose(double_center(sample(Sphere(1), "grid", n)))
             v = np.concatenate([vals.eigenvalues, np.zeros(mc + 1)])
             whole = bool(np.all(v[:mc] > 0.0)
                          and np.allclose(v[0:mc:2], v[1:mc:2], rtol=1e-9, atol=0.0)
