@@ -330,8 +330,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 @lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    """Built once per process: ``parse_args`` leaves it unchanged and returns a fresh namespace."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top parser and each command's own parser under (group, sub). Built
+    once per process: ``parse_args`` leaves them unchanged and returns a fresh
+    namespace."""
     parser = _Parser(
         prog="mdslab",
         description="Finite and limiting multidimensional scaling on metric measure spaces.",
@@ -411,25 +413,35 @@ def _build_parser() -> argparse.ArgumentParser:
     tchk.add_argument("--out", default=None)
     tchk.set_defaults(func=_cmd_torus_check)
 
-    return parser
+    leaves = {(group, sub): leaf
+              for group, group_parser in top.choices.items()
+              for action in group_parser._actions if isinstance(action, argparse._SubParsersAction)
+              for sub, leaf in action.choices.items()}
+    return parser, leaves
 
 
 def run(argv: Sequence[str]) -> int:
-    """Dispatch one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
+    """Dispatch one CLI invocation; returns the process exit code.
+
+    A command's flags, ``argv[2:]``, go straight to its own parser, so an
+    unrecognized flag prints that command's usage. Any other argv (``--help``,
+    ``--version``, an incomplete or unknown command) goes to the top parser."""
+    parser, leaves = _build_parser()
     argv = list(argv)
+    leaf = leaves.get(tuple(argv[:2]))
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "func", None):
+        if leaf is None:
+            parser.parse_args(argv)  # exits on --help, --version and unknown commands
             parser.print_usage(sys.stderr)
             print("error: unknown or incomplete command", file=sys.stderr)
             return 2
-        command = f"{args.group} {args.sub}"
+        command = " ".join(argv[:2])
+        args = leaf.parse_args(argv[2:])
         if getattr(args, "config", None):
-            args = parser.parse_args(argv + _config_file_flags(args.config, command))
+            args = leaf.parse_args(argv[2:] + _config_file_flags(args.config, command))
         if hasattr(args, "seed") and args.seed is None:
             args.seed = int(os.environ.get(SEED_ENV_VAR) or 0)
-        flags = {k: v for k, v in vars(args).items() if k not in ("group", "sub", "func", "config")}
+        flags = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
         config = {"command": command, **flags}
         # hashed before the run, which may overwrite an input with its output
         inputs = [_file_sha256(path) for path in _input_paths(args)]

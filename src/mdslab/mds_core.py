@@ -119,7 +119,7 @@ def eigendecompose(op: CenteredOperator) -> EmbeddingResult:
     if op.w.min() <= 0.0:
         i = int(np.argmin(op.w))
         raise BadWeights(
-            f"w[{i}]={op.w[i]!r}: eigenfunction recovery needs strictly positive weights"
+            f"w[{i}]={float(op.w[i])!r}: eigenfunction recovery needs strictly positive weights"
         )
     try:
         vals, vecs = np.linalg.eigh(op.S)

@@ -93,27 +93,27 @@ def _metric_space(D: np.ndarray, w: np.ndarray) -> FiniteSpace:
         raise BadWeights(f"weight vector has length {w.shape}, expected ({n},)")
     if not np.isfinite(D).all():
         i, j = np.argwhere(~np.isfinite(D))[0]
-        raise NonFiniteValue(f"D[{i},{j}]={D[i, j]!r} is not finite")
+        raise NonFiniteValue(f"D[{i},{j}]={float(D[i, j])!r} is not finite")
     if not np.isfinite(w).all():
         (i,) = np.argwhere(~np.isfinite(w))[0]
-        raise NonFiniteValue(f"w[{i}]={w[i]!r} is not finite")
+        raise NonFiniteValue(f"w[{i}]={float(w[i])!r} is not finite")
     if not np.array_equal(D, D.T):
         i, j = np.argwhere(D != D.T)[0]
         raise AsymmetricMatrix(
-            f"D[{i},{j}]={D[i, j]!r} != D[{j},{i}]={D[j, i]!r}"
+            f"D[{i},{j}]={float(D[i, j])!r} != D[{j},{i}]={float(D[j, i])!r}"
         )
     diag = np.abs(np.diagonal(D))
     if diag.max() > 0.0:
         i = int(np.argmax(diag))
-        raise NonzeroDiagonal(f"D[{i},{i}]={D[i, i]!r} must be 0")
+        raise NonzeroDiagonal(f"D[{i},{i}]={float(D[i, i])!r} must be 0")
     if D.min() < 0.0:
         i, j = np.unravel_index(int(np.argmin(D)), D.shape)
-        raise NegativeDistance(f"D[{i},{j}]={D[i, j]!r} is negative")
+        raise NegativeDistance(f"D[{i},{j}]={float(D[i, j])!r} is negative")
     if w.min() < 0.0:
         i = int(np.argmin(w))
-        raise BadWeights(f"w[{i}]={w[i]!r} is negative")
+        raise BadWeights(f"w[{i}]={float(w[i])!r} is negative")
     if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise BadWeights(f"weights sum to {w.sum()!r}, expected 1 within {WEIGHT_SUM_TOL}")
+        raise BadWeights(f"weights sum to {float(w.sum())!r}, expected 1 within {WEIGHT_SUM_TOL}")
 
     D.setflags(write=False)
     w.setflags(write=False)
@@ -150,7 +150,7 @@ def _check_triangle(D: np.ndarray, tol: float) -> None:
         i, k = k, i
     raise TriangleViolation(
         f"triangle inequality fails for (i={i}, j={j}, k={k}): "
-        f"D[{i},{j}]={D[i, j]!r} > D[{i},{k}] + D[{k},{j}]={D[i, k] + D[k, j]!r}"
+        f"D[{i},{j}]={float(D[i, j])!r} > D[{i},{k}] + D[{k},{j}]={float(D[i, k] + D[k, j])!r}"
     )
 
 

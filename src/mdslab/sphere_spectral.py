@@ -29,18 +29,20 @@ independent evaluators stay as its oracles:
   space, each log from one cancellation-free Stirling expansion of its three
   log-gammas. The summand is unimodal with a peak at s = Theta(j^2) and a
   power-law tail, so the sum is not cut where terms get small: in doubling
-  blocks from 1,024 terms, past the peak, the partial sum plus an
+  blocks from 256 terms, past the peak, the partial sum plus an
   Euler-Maclaurin tail is formed after each block, and summation stops once
   two successive totals agree to ``tol`` in log. It carries the factor
   c_d = sqrt(pi) Gamma(d/2) / (2 Gamma((d+1)/2)) (pi/2, 1, pi/4 for
   d = 1, 2, 3): series = c_d * lambda_j;
 * a quadrature route: the Funk-Hecke pairing of the kernel profile with the
-  normalized zonal function, one three-term recurrence at every d,
-  run once over the nodes of both first Gauss-Legendre rules. It stops on
-  absolute agreement, so it matches lambda_j to about 1e-9 absolute: below
-  that, neither the sign nor the relative size of its value is resolved.
-  The rules come from Newton's method on the Legendre recurrence (the same
-  zonal recurrence at d = 2), with no eigenproblem: O(nodes) memory, nodes
+  normalized zonal function in the angle phi, from the Gegenbauer cosine sum
+  G_j(cos phi) = sum_m c_m cos((j - 2m) phi), c_m proportional to
+  (nu)_m (nu)_{j-m} / (m! (j-m)!), nu = (d - 1)/2 (DLMF 18.5.11), taken once
+  over the nodes of both first Gauss-Legendre rules. It stops on absolute
+  agreement, so it matches lambda_j to about 1e-9 absolute: below that,
+  neither the sign nor the relative size of its value is resolved. The rules
+  come from Newton's method on the Legendre recurrence (the zonal recurrence
+  ``_zonal_values`` at d = 2), with no eigenproblem: O(nodes) memory, nodes
   within 1e-16 absolute and weights within about 1e-14 relative
   (background: Hale and Townsend, SIAM J. Sci. Comput. 2013).
 """
@@ -181,8 +183,10 @@ def _sum_unimodal(log_term: Callable[[np.ndarray], np.ndarray], tol: float,
                   budget: int = SERIES_TERM_BUDGET) -> float:
     """Log of sum_{s=0}^inf exp(log_term(s)) for a unimodal positive summand.
 
-    Terms are summed in doubling blocks of 1,024, 2,048, ... terms, capped at
+    Terms are summed in doubling blocks of 256, 512, ... terms, capped at
     262,144, each block's terms and tail points from one ``log_term`` call.
+    A first block of 256 already ends past the peak of every summand whose
+    peak lies below s = 256 (the series' up to j = 50 on S^2, near s = j^2 / 10).
     After each block that ends past the peak (its last term below the running
     maximum), the total is the partial sum plus the Euler-Maclaurin tail from
     the block end; the sum stops once two successive totals agree to ``tol``
@@ -192,7 +196,7 @@ def _sum_unimodal(log_term: Callable[[np.ndarray], np.ndarray], tol: float,
     peak = -math.inf
     prev_total: Optional[float] = None
     s0 = 0
-    block = 1024
+    block = 256
     while s0 < budget:
         hi = min(s0 + block, budget)
         lt = log_term(np.append(np.arange(s0, hi, dtype=float), _em_tail_points(float(hi))))
@@ -266,10 +270,12 @@ def eigenvalue_series(d: int, j: int, tol: float = 1e-9) -> float:
     simplified by the duplication formula. The terms are positive, so they
     are summed in log space, each log from the cancellation-free summand of
     ``_series_log_term``. ``tol`` bounds the change in the log of the
-    tail-corrected sum between two successive blocks (see ``_sum_unimodal``)
-    and must be positive and finite; at the default the value is within
-    1e-12 relative of c_d lambda_j for d <= 12 and j <= 401. It reads no
-    closed form.
+    tail-corrected sum between two successive blocks (see ``_sum_unimodal``:
+    doubling blocks from 256 terms, so a degree whose summand peaks early
+    settles after a few hundred terms) and must be positive and finite; at
+    the default the value is within 1e-12 relative of c_d lambda_j for
+    d <= 12 and j <= 401 (at most 5.6e-14 on that grid). It reads no closed
+    form.
     """
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
@@ -316,11 +322,87 @@ def _zonal_values(d: int, top: int, t: np.ndarray) -> Iterator[np.ndarray]:
             g = g + diff  # a new array: the yielded g is never written
 
 
-def zonal_value(d: int, j: int, t: np.ndarray) -> np.ndarray:
-    """Normalized zonal function G_j of S^d (1 at t = 1) at cosine values t in [-1, 1]."""
-    for g in _zonal_values(d, j, np.asarray(t, dtype=float)):
-        pass  # keeps only the latest degree alive
-    return g
+# Frequencies per block of the cosine table: each entry is a product of at
+# most one power below this of exp(2 i phi) and one of exp(2 i L phi), so it
+# carries at most L + (j // 2) / L base roundings (47 at degree 1024).
+_COSINE_BLOCK = 32
+# Complex table entries per node chunk of ``_zonal_at_angles`` (1 MiB).
+_TABLE_ENTRIES = 1 << 16
+
+
+def _cosine_weights(d: int, j: int) -> np.ndarray:
+    """Weights a_i, summing to 1, of G_j(cos phi) = sum_i a_i cos((j % 2 + 2i) phi):
+    the Gegenbauer cosine sum (DLMF 18.5.11) C_j^nu(cos phi) = sum_m c_m
+    cos((j - 2m) phi), c_m = (nu)_m (nu)_{j-m} / (m! (j-m)!), nu = (d - 1) / 2,
+    terms m and j - m merged. The c_m run from the middle out by the ratio
+    c_{m-1} / c_m = m (nu + j - m) / ((nu + m - 1) (j - m + 1)), at most 1 from
+    nu = 1 on and growing by about sqrt(j) in all at nu = 1/2, so none
+    overflows (far ones underflow to 0 at large d). At d = 1, G_j = cos(j phi)."""
+    h = j // 2
+    a = np.zeros(h + 1)
+    if d == 1 or j == 0:
+        a[h] = 1.0
+        return a
+    nu = (d - 1.0) / 2.0
+    m = np.arange(h, 0, -1.0)
+    a[0] = 1.0
+    a[1:] = m * (nu + j - m) / ((nu - 1.0 + m) * (j + 1.0 - m))
+    np.cumprod(a, out=a)
+    if j % 2 == 0:
+        a[0] = 0.5  # the frequency-0 term m = j / 2 has no partner
+    return a / a.sum()
+
+
+def _powers(theta: np.ndarray, count: int) -> np.ndarray:
+    """Rows exp(i k theta), k = 0, ..., count - 1, by doubling: each block of
+    rows is the one before times a squared power."""
+    out = np.empty((count, theta.size), dtype=complex)
+    out[0] = 1.0
+    if count > 1:
+        step = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=step.real)
+        np.sin(theta, out=step.imag)
+    filled = 1
+    while filled < count:
+        k = min(filled, count - filled)
+        np.multiply(out[:k], step, out=out[filled:filled + k])
+        filled += k
+        if filled < count:
+            step = step * step
+    return out
+
+
+def _zonal_at_angles(d: int, j: int, phi: np.ndarray) -> np.ndarray:
+    """G_j(cos phi) of S^d at angles phi in [0, pi]: the cosine sum of
+    ``_cosine_weights`` at the float angles themselves.
+
+    With L = ``_COSINE_BLOCK`` and p = j % 2, frequency p + 2(qL + r) is
+    exp(i (p + 2qL) phi) exp(2 i r phi): the weights meet the L powers of
+    exp(2 i phi) in one ``np.einsum`` (a BLAS product's bits depend on a
+    column's position), then the block sums meet the powers of exp(2 i L phi).
+    2 phi and 2 L phi are exact, so no rounded multiple of phi enters: within
+    1.5e-15 of 40-digit mpmath for d <= 50, j <= 1024, where the recurrence on
+    rounded cosines is off by up to 1.3e-14. Nodes go in chunks of at most
+    ``_TABLE_ENTRIES`` entries, each a fixed number of array operations.
+    That fixed set-up pays off only above a small degree: a quadrature on
+    S^2 is slower than by the recurrence up to j = 7 (41 against 31 us at
+    j = 1) and faster from j = 9 on (149 against 408 us at j = 99).
+    """
+    a = _cosine_weights(d, j)
+    rows = min(a.size, _COSINE_BLOCK)
+    blocks = -(-a.size // rows)
+    weights = np.zeros((blocks, rows))
+    weights.flat[:a.size] = a
+    out = np.empty(phi.shape)
+    step = _TABLE_ENTRIES // (rows + 2 * blocks)
+    for lo in range(0, phi.size, step):
+        x = phi[lo:lo + step]
+        sums = np.einsum("qr,rn->qn", weights, _powers(2.0 * x, rows).view(float)).view(complex)
+        sums = (sums * _powers(2.0 * rows * x, blocks)).sum(axis=0) if blocks > 1 else sums[0]
+        if j % 2:
+            sums *= _powers(x, 2)[1]  # exp(i phi)
+        out[lo:lo + step] = sums.real
+    return out
 
 
 def multiplicity(d: int, j: int) -> int:
@@ -340,8 +422,10 @@ def eigenvalue_quadrature(d: int, j: int, kind: str = "full") -> float:
     coefficient (1/pi) int_0^pi k(phi) cos(j phi) dphi), evaluated in the angle
     variable, where the integrand is analytic, with node counts doubled from
     max(64, 2j) until successive values agree to ``QUAD_TOL_FUNK`` = 1e-9.
-    The first two rules share one zonal recurrence over their joint nodes;
-    each later doubling runs it on its own rule. No rule exceeds
+    The zonal function comes from the Gegenbauer cosine sum at the rules'
+    angles (``_zonal_at_angles``), in a fixed number of array operations: the
+    first two rules share one evaluation over their joint nodes, and each
+    later doubling runs one on its own rule. No rule exceeds
     ``QUAD_MAX_NODES``, so degrees whose first two rules would (j > 1024)
     raise ``ValueError`` before any rule is built.
 
@@ -361,12 +445,13 @@ def eigenvalue_quadrature(d: int, j: int, kind: str = "full") -> float:
     const = math.exp(math.lgamma((d + 1.0) / 2.0) - math.lgamma(d / 2.0)) / math.sqrt(math.pi)
 
     def values_at(*sizes: int) -> list[float]:
-        """One value per rule, all from one zonal recurrence over the rules' joint nodes."""
+        """One value per rule, all from one cosine sum over the rules' joint nodes."""
         rules = [_gauss_legendre(n) for n in sizes]
         phi = 0.5 * math.pi * (np.concatenate([x for x, _ in rules]) + 1.0)
-        vals = f(phi) * zonal_value(d, j, np.cos(phi)) * np.sin(phi) ** (d - 1)
-        parts = np.split(vals, np.cumsum([w.size for _, w in rules])[:-1])
-        return [const * 0.5 * math.pi * float(w @ v) for (_, w), v in zip(rules, parts)]
+        vals = f(phi) * _zonal_at_angles(d, j, phi) * np.sin(phi) ** (d - 1)
+        ends = np.cumsum([w.size for _, w in rules]).tolist()
+        return [const * 0.5 * math.pi * float(w @ vals[end - w.size:end])
+                for (_, w), end in zip(rules, ends)]
 
     prev, cur = values_at(nodes, 2 * nodes)
     nodes *= 2

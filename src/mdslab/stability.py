@@ -61,15 +61,17 @@ def make_coupling(G: np.ndarray, A: FiniteSpace, B: FiniteSpace) -> Coupling:
         raise MarginalMismatch(f"coupling shape {G.shape} does not match ({A.n}, {B.n})")
     if G.min() < 0.0:
         i, j = np.unravel_index(int(np.argmin(G)), G.shape)
-        raise MarginalMismatch(f"negative mass G[{i},{j}]={G[i, j]!r}")
+        raise MarginalMismatch(f"negative mass G[{i},{j}]={float(G[i, j])!r}")
     row_err = np.abs(G.sum(axis=1) - A.w)
     if row_err.max() > MARGINAL_TOL:
         i = int(np.argmax(row_err))
-        raise MarginalMismatch(f"row {i} sums to {G.sum(axis=1)[i]!r}, expected {A.w[i]!r}")
+        raise MarginalMismatch(f"row {i} sums to {float(G.sum(axis=1)[i])!r}, "
+                               f"expected {float(A.w[i])!r}")
     col_err = np.abs(G.sum(axis=0) - B.w)
     if col_err.max() > MARGINAL_TOL:
         j = int(np.argmax(col_err))
-        raise MarginalMismatch(f"column {j} sums to {G.sum(axis=0)[j]!r}, expected {B.w[j]!r}")
+        raise MarginalMismatch(f"column {j} sums to {float(G.sum(axis=0)[j])!r}, "
+                               f"expected {float(B.w[j])!r}")
     G = G.copy()
     G.setflags(write=False)
     return Coupling(G=G)

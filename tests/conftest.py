@@ -11,7 +11,7 @@ import pytest
 
 from mdslab.mds_core import EmbeddingResult, double_center, eigendecompose
 from mdslab.spaces import TWO_PI, FiniteSpace, finite_space_from_matrix
-from mdslab.sphere_spectral import _series_log_term
+from mdslab.sphere_spectral import _series_log_term, _zonal_values
 from mdslab.stability import Coupling, make_coupling
 
 
@@ -148,6 +148,14 @@ def coeff(kind: str, n: int) -> SignedLog:
     j = (n - 2) // 2
     return SignedLog(-1, 2 * j * ln2 + 2.0 * math.lgamma(j + 1) - ln2 - math.log(j + 1)
                      - math.log(2 * j + 1) - math.lgamma(2 * j + 1))
+
+
+def zonal_value(d: int, j: int, t: np.ndarray) -> np.ndarray:
+    """Normalized zonal function G_j of S^d (1 at t = 1) at cosine values t in
+    [-1, 1], by the recurrence of ``sphere_spectral._zonal_values``."""
+    for g in _zonal_values(d, j, np.asarray(t, dtype=float)):
+        pass  # keeps only the latest degree alive
+    return g
 
 
 def theta(d: int, n: int, s: float) -> SignedLog:

@@ -1,8 +1,11 @@
 """CLI: exit codes, determinism, config round-trip, claim registry."""
 from __future__ import annotations
 
+import argparse
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -26,6 +29,7 @@ from mdslab.cli import (
     CLAIMS,
     ConfigError,
     _build_parser,
+    _config_file_flags,
     emit_table,
     parse_space,
     run,
@@ -51,7 +55,7 @@ def fresh_python(code: str, cwd=None, src=None) -> str:
 def registered_subparsers() -> dict:
     """Each ``"<group> <sub>"`` command mapped to its argument parser."""
     cmds = {}
-    parser = _build_parser()
+    parser, _ = _build_parser()
     for action in parser._actions:
         if hasattr(action, "choices") and isinstance(action.choices, dict):
             for group, sub in action.choices.items():
@@ -60,6 +64,42 @@ def registered_subparsers() -> dict:
                         for name, subparser in sub_action.choices.items():
                             cmds[f"{group} {name}"] = subparser
     return cmds
+
+
+def parsed_flags(parse, argv: list[str]):
+    """The flags ``run`` records for ``argv`` parsed by ``parse`` as sorted JSON,
+    a ``--config`` file merged as ``run`` merges it, or the exit code of a
+    usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parse(argv)
+            if getattr(args, "config", None):
+                args = parse(argv + _config_file_flags(args.config, " ".join(argv[:2])))
+        except SystemExit as exc:
+            return exc.code
+        except (ValueError, OSError) as exc:  # an unreadable config file
+            return type(exc).__name__
+    flags = {k: v for k, v in vars(args).items() if k not in ("group", "sub", "func", "config")}
+    return json.dumps(flags, sort_keys=True)  # as the record hashes it, NaN included
+
+
+@pytest.fixture(autouse=True)
+def leaf_route_matches_full_tree(monkeypatch):
+    """Every command a test here runs is parsed by its own parser; before it
+    runs, the full parser tree must give the same flags, and so the same run
+    record config, or fail with the same exit code."""
+    parser, leaves = _build_parser()
+    real_run = mdslab.cli.run
+
+    def checked_run(argv):
+        argv = list(argv)
+        leaf = leaves.get(tuple(argv[:2]))
+        if leaf is not None:
+            by_leaf = parsed_flags(lambda a: leaf.parse_args(a[2:]), argv)
+            assert by_leaf == parsed_flags(parser.parse_args, argv), argv
+        return real_run(argv)
+
+    monkeypatch.setattr(sys.modules[__name__], "run", checked_run)
 
 
 def config_hash(config: dict, env: dict, inputs: tuple[str, ...] = ()) -> str:
@@ -208,6 +248,48 @@ class TestRun:
         assert run(["definitely", "not", "real"]) == 2
         assert run([]) == 2
 
+    def test_one_parse_per_command(self, monkeypatch, capsys):
+        # work-count guard: a command's flags go straight to its own parser,
+        # where the full tree took three nested parse_known_args calls
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        argv = ["sphere", "eigen", "--dim", "2", "--degree", "3", "--method", "series"]
+        assert mdslab.cli.run(argv) == 0
+        assert calls == ["mdslab sphere eigen"]
+
+    @pytest.mark.parametrize("argv, code, start", [
+        ([], 2, "usage: mdslab [-h] [--version] {space,"),
+        (["sphere"], 2, "usage: mdslab [-h] [--version] {space,"),
+        (["sphere", "nope"], 2, "usage: mdslab sphere [-h] {eigen,asymptotics}"),
+        (["nope", "eigen"], 2, "usage: mdslab [-h] [--version] {space,"),
+        (["--version"], 0, "mdslab 0.1.0\n"),
+        (["--help"], 0, "usage: mdslab [-h] [--version] {space,"),
+        (["sphere", "eigen", "--help"], 0, "usage: mdslab sphere eigen [-h] --dim DIM"),
+        (["sphere", "eigen"], 2, "usage: mdslab sphere eigen [-h] --dim DIM"),
+    ])
+    def test_usage_paths_keep_exit_codes_and_text(self, argv, code, start, capsys):
+        parser, _ = _build_parser()
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        assert (out + err).startswith(start)
+        if argv[:2] == ["sphere", "eigen"]:  # the leaf route prints what the tree printed
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            assert capsys.readouterr() == (out, err)
+
+    def test_unrecognized_flag_prints_the_command_usage(self, capsys):
+        argv = ["sphere", "eigen", "--dim", "2", "--degree", "3", "--method", "series", "--bogus"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mdslab sphere eigen [-h] --dim DIM")
+        assert "mdslab sphere eigen: error: unrecognized arguments: --bogus" in err
+
     def test_console_entry_points(self):
         # ``python -m mdslab.cli`` and the ``mdslab`` script's ``main`` pass
         # ``run``'s exit code to the interpreter
@@ -260,6 +342,28 @@ class TestRun:
                     "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "NonFiniteValue" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1,nan\n1,0,1\nnan,1,0\n0.25,0.25,0.5", "NonFiniteValue: D[0,2]=nan is not finite"),
+        ("0,1,1\n1,0,1\n1,1,0\n0.25,nan,0.5", "NonFiniteValue: w[1]=nan is not finite"),
+        ("0,1,1\n2,0,1\n1,1,0\n0.25,0.25,0.5", "AsymmetricMatrix: D[0,1]=1.0 != D[1,0]=2.0"),
+        ("0,1,1\n1,0.5,1\n1,1,0\n0.25,0.25,0.5", "NonzeroDiagonal: D[1,1]=0.5 must be 0"),
+        ("0,-1,1\n-1,0,1\n1,1,0\n0.25,0.25,0.5", "NegativeDistance: D[0,1]=-1.0 is negative"),
+        ("0,1,3\n1,0,1\n3,1,0\n0.25,0.25,0.5",
+         "TriangleViolation: triangle inequality fails for (i=0, j=2, k=1): "
+         "D[0,2]=3.0 > D[0,1] + D[1,2]=2.0"),
+        ("0,1,1\n1,0,1\n1,1,0\n0.25,-0.25,1", "BadWeights: w[1]=-0.25 is negative"),
+        ("0,1,1\n1,0,1\n1,1,0\n0.25,0.25,0.25", "BadWeights: weights sum to 0.75, expected 1"),
+    ], ids=["nan_distance", "nan_weight", "asymmetric", "diagonal", "negative", "triangle",
+            "negative_weight", "weight_sum"])
+    def test_bad_input_messages_print_plain_floats(self, tmp_path, capsys, rows, message):
+        # numpy 2 scalars print as np.float64(...) under repr: each value is a float first
+        path = tmp_path / "bad.csv"
+        path.write_text(f"n,3\n{rows}\n")
+        code = run(["mds", "embed", "--input", str(path), "--m", "1",
+                    "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and message in err and "np." not in err, err
 
     @pytest.mark.parametrize("text,error", [
         ("", "SpaceValidationError"),

@@ -141,7 +141,7 @@ class TestEigendecompose:
     def test_zero_weight_rejected(self):
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         fs = finite_space_from_matrix(D, [1.0, 0.0])
-        with pytest.raises(BadWeights):
+        with pytest.raises(BadWeights, match=r"^w\[1\]=0\.0: eigenfunction"):
             spectral_embedding(fs)
 
     def test_trace_identity(self, rng):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import mdslab.sphere_spectral
-from conftest import coeff, s_peak, spectral_embedding, theta
+from conftest import coeff, s_peak, spectral_embedding, theta, zonal_value
 from mdslab.spaces import Sphere, sample
 from mdslab.sphere_spectral import (
     QUAD_MAX_NODES,
@@ -25,6 +25,7 @@ from mdslab.sphere_spectral import (
     ToleranceNotReached,
     _closed_weight,
     _gauss_legendre,
+    _zonal_at_angles,
     _zonal_values,
     _series_log_term,
     _sum_unimodal,
@@ -35,7 +36,6 @@ from mdslab.sphere_spectral import (
     multiplicity,
     snowflake_identity_error,
     truncated_embedding_dist_sq,
-    zonal_value,
 )
 
 
@@ -192,12 +192,14 @@ class TestSeriesEvaluator:
         assert 0 < count_series_terms(monkeypatch, 2, 41) < 30_000
 
     def test_first_block_term_count(self, monkeypatch):
-        # the summand peaks at s = 69; first blocks of 4,096 terms evaluated 12,422
-        assert count_series_terms(monkeypatch, 2, 41) < 4_000
+        # work-count guard: the summand peaks at s = 69; first blocks of 4,096
+        # terms evaluated 12,422 and of 1,024 terms 3,206
+        assert count_series_terms(monkeypatch, 2, 41) < 1_000
 
     def test_first_block_accuracy_grid(self):
-        # worst relative error 9.4e-15, at (12, 99); with the three log-gammas of
-        # the summand formed apart and subtracted it was 4.9e-10, at (1, 401)
+        # worst relative error 5.6e-14, at (12, 85) (9.4e-15 with first blocks of
+        # 1,024 terms); with the three log-gammas of the summand formed apart and
+        # subtracted it was 4.9e-10, at (1, 401)
         for d in (1, 2, 3, 5, 8, 12):
             for j in [*range(1, 100, 7), 150, 200, 300, 400, 401]:
                 expect = c_d(d) * eigenvalue_closed(d, j)
@@ -350,8 +352,7 @@ class TestQuadrature:
             def value_at(nodes):
                 x, w = _gauss_legendre.__wrapped__(nodes)
                 phi = 0.5 * math.pi * (x + 1.0)
-                vals = (-0.5 * phi**2) * zonal_value(d, j, np.cos(phi)) \
-                    * np.sin(phi) ** (d - 1)
+                vals = (-0.5 * phi**2) * _zonal_at_angles(d, j, phi) * np.sin(phi) ** (d - 1)
                 return const * 0.5 * math.pi * float(w @ vals)
 
             nodes = max(64, 2 * j)
@@ -380,8 +381,8 @@ class TestQuadrature:
         assert built == [64 * 2**k for k in range(7)] and built[-1] == QUAD_MAX_NODES
 
     def test_one_pass_gives_rule_by_rule_bits(self):
-        # each rule evaluated on its own nodes, as one zonal pass per rule did;
-        # every (d, j, kind) here settles at the first doubling
+        # each rule's cosine sum evaluated on its own nodes; every (d, j, kind)
+        # here settles at the first doubling
         profiles = {"full": lambda phi: -0.5 * phi**2, "snowflake": lambda phi: -0.5 * phi}
         for j in range(200):  # degree outermost, so each rule is built once
             rules = [_gauss_legendre(n) for n in (max(64, 2 * j), max(128, 4 * j))]
@@ -391,8 +392,7 @@ class TestQuadrature:
                 parts = []
                 for x, w in rules:
                     phi = 0.5 * math.pi * (x + 1.0)
-                    parts.append((phi, w, zonal_reference(d, j, np.cos(phi)),
-                                  np.sin(phi) ** (d - 1)))
+                    parts.append((phi, w, _zonal_at_angles(d, j, phi), np.sin(phi) ** (d - 1)))
                 for kind, profile in profiles.items():
                     prev, expect = (const * 0.5 * math.pi * float(w @ (profile(phi) * zonal * sine))
                                     for phi, w, zonal, sine in parts)
@@ -400,27 +400,41 @@ class TestQuadrature:
                     assert eigenvalue_quadrature(d, j, kind).hex() == expect.hex(), (d, j, kind)
 
     def test_one_zonal_pass_when_first_doubling_settles(self, monkeypatch):
-        passes, built = [], []
-        zonal_values, rule = mdslab.sphere_spectral._zonal_values, _gauss_legendre
+        # work-count guard: the quadrature runs one cosine sum over the joint
+        # nodes of its [n, 2n] rules and no zonal recurrence (that is left to the
+        # rule builder, run here before counting starts)
+        passes, sums, built = [], [], []
+        zonal_values, cosine_sum, rule = (mdslab.sphere_spectral._zonal_values,
+                                          _zonal_at_angles, _gauss_legendre)
 
         def counting_zonal(*args):
             passes.append(args[:2])
             return zonal_values(*args)
 
+        def counting_sum(d, j, phi):
+            sums.append((d, j, phi.size))
+            return cosine_sum(d, j, phi)
+
         def recording_rule(nodes):
             built.append(nodes)
             return rule(nodes)
 
+        degrees = (0, 1, 7, 41, 99, 199)
+        for j in degrees:
+            rule(max(64, 2 * j)), rule(2 * max(64, 2 * j))
         monkeypatch.setattr(mdslab.sphere_spectral, "_zonal_values", counting_zonal)
+        monkeypatch.setattr(mdslab.sphere_spectral, "_zonal_at_angles", counting_sum)
         monkeypatch.setattr(mdslab.sphere_spectral, "_gauss_legendre", recording_rule)
         for d in (1, 2, 3, 8):
-            for j in (0, 1, 7, 41, 99, 199):
+            for j in degrees:
                 for kind in ("full", "snowflake"):
-                    passes.clear()
+                    sums.clear()
                     built.clear()
                     eigenvalue_quadrature(d, j, kind)
-                    assert built == [max(64, 2 * j), 2 * max(64, 2 * j)]
-                    assert passes == [(d, j)]
+                    nodes = max(64, 2 * j)
+                    assert built == [nodes, 2 * nodes]
+                    assert sums == [(d, j, 3 * nodes)]
+        assert passes == []
 
     @pytest.mark.parametrize("d, j", [(189, 51), (20, 300), (8, 199),
                                       *((d, j) for d in (190, 400, 999) for j in (1, 2, 3, 10, 51))])
@@ -488,8 +502,9 @@ class TestQuadrature:
         assert peak <= 8 * 2**20
 
 
-def zonal_oracle(d: int, j: int, t: float) -> float:
-    """G_j(t) at 40 digits: cos(j arccos t) on the circle, C_j^nu(t) / C_j^nu(1) above."""
+def zonal_oracle(d: int, j: int, t) -> float:
+    """G_j(t) at 40 digits, t a float or an mpf: cos(j arccos t) on the circle,
+    C_j^nu(t) / C_j^nu(1) above."""
     with mpmath.workdps(40):
         if d == 1:
             return float(mpmath.cos(j * mpmath.acos(t)))
@@ -498,7 +513,44 @@ def zonal_oracle(d: int, j: int, t: float) -> float:
         return float(mpmath.gegenbauer(j, nu, t, zeroprec=200) / mpmath.gegenbauer(j, nu, 1))
 
 
+def zonal_angle_oracle(d: int, j: int, phi: float) -> float:
+    """G_j(cos phi) at 40 digits at the float angle phi itself. Past pi / 2 it is
+    (-1)^j G_j(cos(pi - phi)): near t = -1 mpmath's Gegenbauer value loses every
+    digit at high degree (it reads 0.0 for G_1024 of S^50 at phi = pi)."""
+    with mpmath.workdps(40):
+        angle, sign = mpmath.mpf(phi), 1
+        if angle > mpmath.pi / 2:
+            angle, sign = mpmath.pi - angle, (-1) ** j
+        return sign * zonal_oracle(d, j, mpmath.cos(angle))
+
+
 class TestZonal:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 50), st.integers(0, 1024), st.floats(0.0, math.pi))
+    @example(2, 1024, 0.7)
+    @example(3, 1024, 2.9)
+    @example(1, 1023, math.pi)
+    @example(50, 1024, math.pi)
+    def test_angle_form_mpmath_property(self, d, j, phi):
+        # the cosine sum at the float angle; the recurrence on rounded cosines
+        # is off by up to 1.3e-14 at j = 1024
+        got = _zonal_at_angles(d, j, np.array([phi]))[0]
+        assert abs(got - zonal_angle_oracle(d, j, phi)) <= 1e-14
+
+    def test_angle_form_endpoints(self):
+        phi = np.array([0.0, math.pi])
+        for d in (1, 2, 3, 8, 400):
+            for j in (0, 1, 4, 9, 64, 65, 1024):
+                assert np.abs(_zonal_at_angles(d, j, phi) - (1.0, (-1.0) ** j)).max() <= 1e-14
+
+    def test_angle_form_chunks_give_unchunked_bits(self, monkeypatch):
+        # (400, 1000) on 6,000 nodes runs in several chunks; one chunk holding
+        # every node gives the same bits
+        phi = np.linspace(0.0, math.pi, 6000)
+        chunked = _zonal_at_angles(400, 1000, phi)
+        monkeypatch.setattr(mdslab.sphere_spectral, "_TABLE_ENTRIES", 1 << 30)
+        assert np.array_equal(chunked, _zonal_at_angles(400, 1000, phi))
+
     def test_mpmath_grid(self):
         t = np.cos(np.linspace(0.0, math.pi, 41))
         for d in (1, 2, 3, 5, 8):

@@ -88,8 +88,12 @@ class TestCouplings:
         b = equilateral_triangle()
         with pytest.raises(MarginalMismatch):
             coupling_nearest(a, b, [0, 0])
-        with pytest.raises(MarginalMismatch):
+        with pytest.raises(MarginalMismatch, match=r"row 0 sums to 0\.6, expected 0\.5$"):
             make_coupling(np.full((2, 2), 0.3), a, two_points())
+        with pytest.raises(MarginalMismatch, match=r"negative mass G\[0,1\]=-0\.1$"):
+            make_coupling(np.array([[0.6, -0.1], [-0.1, 0.6]]), a, two_points())
+        with pytest.raises(MarginalMismatch, match=r"column 0 sums to 0\.75, expected 0\.5$"):
+            make_coupling(np.array([[0.5, 0.0], [0.25, 0.25]]), a, two_points())
 
 
 class TestGwCost:
