@@ -1,15 +1,14 @@
 """Command-line front end.
 
-A run's config is its parsed flags: ``{"command": "<group> <sub>", <flag
-dest>: <value>, ...}``, with ``MDSLAB_SEED`` resolved into ``seed``. Every
-subcommand runs deterministically from its flags and writes its result table
-as CSV (17 significant digits, LF line endings) and a JSON run record next to
-it (its keys and hash contract: ``_write_run_record``). The record's hash covers
-the config JSON, the environment (numpy, its BLAS, the BLAS thread count, which
+A run's config is its parsed flags, argv its only source: ``{"command":
+"<group> <sub>", <flag dest>: <value>, ...}``. Every subcommand runs
+deterministically from its flags and writes its result table as CSV (17
+significant digits, LF line endings) and a JSON run record next to it (its
+keys and hash contract: ``_write_run_record``). The record's hash covers the
+config JSON, the ``env`` block (numpy, its BLAS, the BLAS thread count, which
 changes eigensolver bits, and the sha256 of the package's own source) and the
-sha256 of every input file, taken before the command runs. ``stability converge --config FILE`` appends the keys of a JSON
-object as ``--key=value`` flags, so the file overrides the flags it names and
-passes through the same parser. Exit codes:
+sha256 of every input file, taken before the command runs. A record's config
+replays as ``--key=value`` per non-null key besides ``command``. Exit codes:
 0 success, 2 for validation or usage errors (unwritable output included) and
 for a run too large for memory (``MemoryError``), 3 for numerical
 non-convergence, an overflowing kernel included.
@@ -20,7 +19,6 @@ import argparse
 import ctypes
 import hashlib
 import json
-import os
 import sys
 import time
 from functools import lru_cache
@@ -60,8 +58,6 @@ from .sphere_spectral import (
 )
 from .stability import convergence_experiment
 
-SEED_ENV_VAR = "MDSLAB_SEED"
-
 # Mathematical claim exercised by each subcommand, named in its run record.
 CLAIMS = {
     "space gen": "construction and validation of finite metric measure spaces, grid and seeded random sampling",
@@ -73,6 +69,10 @@ CLAIMS = {
     "product check": "product spectra merge from factor spectra and squared embedding distances add across factors",
     "torus check": "flat torus embedding satisfies the snowflake identity pi * sum of factor distances; each factor is the circle grid embedding from one real DFT of its circulant kernel",
 }
+
+
+# default --tol of sphere eigen; any other value is rejected with the quadrature
+_SERIES_TOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -97,7 +97,7 @@ def _blas_thread_getters() -> tuple:
             fn = getattr(lib, symbol, None)
             if fn is not None:
                 fn.argtypes, fn.restype = [], ctypes.c_int
-                getters.append((os.path.basename(path), fn))
+                getters.append((Path(path).name, fn))
                 break
     return tuple(getters)
 
@@ -111,7 +111,7 @@ def _code_sha256() -> str:
     return hashlib.sha256(lines.encode("utf-8")).hexdigest()
 
 
-def _environment() -> dict:
+def _run_env() -> dict:
     """What fixes the result bytes besides the config and the inputs: the
     package source, numpy, its BLAS, and the thread count each loaded
     OpenBLAS reports now."""
@@ -159,7 +159,7 @@ def _write_run_record(config: dict, inputs: list[str], wall: float) -> None:
     out = config["out"]
     if out is None:
         return
-    env = _environment()
+    env = _run_env()
     hashed = "\n".join([json.dumps(part, sort_keys=True, separators=(",", ":"))
                         for part in (config, env)] + inputs)
     record = {"config_hash": hashlib.sha256(hashed.encode("utf-8")).hexdigest(),
@@ -198,25 +198,6 @@ def parse_space(spec: str) -> AnalyticSpace:
     return space
 
 
-def _config_file_flags(path: str, command: str) -> list[str]:
-    """The keys of a JSON config file as ``--key=value`` flags (the ``=`` keeps
-    a value that starts with ``-`` attached). A ``command`` key, as run
-    records carry, must name the command being run. Every value must be a
-    JSON string or number: ``null``, booleans, lists and objects have no
-    flag spelling."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path!r} does not hold a JSON object")
-    if data.pop("command", command) != command:
-        raise ConfigError(f"config file {path!r} is not for {command!r}")
-    for key, value in data.items():
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            raise ConfigError(f"config file {path!r}: key {key!r} holds {json.dumps(value)}, "
-                              "expected a string or a number")
-    return [f"--{key}={value}" for key, value in data.items()]
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations; each reads its parsed flags.
 
@@ -252,6 +233,8 @@ def _cmd_sphere_eigen(args) -> None:
         if args.kind != "full":
             raise ConfigError("the series evaluator covers the full kernel only")
         value = eigenvalue_series(args.dim, args.degree, args.tol)
+    elif args.tol != _SERIES_TOL:
+        raise ConfigError("--tol sets the series stop only; the quadrature takes no tolerance")
     else:
         value = eigenvalue_quadrature(args.dim, args.degree, args.kind)
     print(_fmt(value))
@@ -309,21 +292,21 @@ def _cmd_product_check(args) -> None:
 
 def _cmd_torus_check(args) -> None:
     try:
-        check = torus_check(args.n, args.k, args.trunc, n_pairs=args.pairs, seed=args.seed)
+        max_error = torus_check(args.n, args.k, args.trunc, n_pairs=args.pairs, seed=args.seed)
     except ValueError as exc:  # every argument is a flag
         raise ConfigError(str(exc)) from exc
     if args.out:
         emit_table(
             ["n_per_factor", "k_factors", "trunc", "pairs", "max_error"],
-            [[args.n, args.k, args.trunc, args.pairs, check.max_error]],
+            [[args.n, args.k, args.trunc, args.pairs, max_error]],
             args.out,
         )
-    print(f"torus identity max error {_fmt(check.max_error)} over {args.pairs} pairs")
+    print(f"torus identity max error {_fmt(max_error)} over {args.pairs} pairs")
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser without prefix matching, so a shortened flag or config key is
-    an error; subparsers are built from the same class."""
+    """A parser without prefix matching, so a shortened flag is an error, not
+    a second spelling of one flag; subparsers are built from the same class."""
 
     def __init__(self, **kwargs) -> None:
         super().__init__(allow_abbrev=False, **kwargs)
@@ -346,7 +329,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     gen.add_argument("--space", required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--mode", choices=["grid", "random"], default="grid")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_space_gen)
 
@@ -370,7 +353,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                           "lambda_j to about 1e-9 absolute, so values near or below 1e-9 "
                           "resolve neither sign nor relative size")
     eig.add_argument("--kind", choices=["full", "snowflake"], default="full")
-    eig.add_argument("--tol", type=float, default=1e-9,
+    eig.add_argument("--tol", type=float, default=_SERIES_TOL,
                      help="series only: stop once two successive tail-corrected sums agree "
                           "to this in log, about the value's relative error")
     eig.add_argument("--out", default=None)
@@ -394,7 +377,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                       help="sets the fine grid (refine * n points per factor) of the "
                            "kernel-gap columns on circle and torus rows")
     conv.add_argument("--out", default="converge.csv")
-    conv.add_argument("--config", default=None, help="JSON config file overriding the flags")
     conv.set_defaults(func=_cmd_stability_converge)
 
     prod = top.add_parser("product", help="product space checks").add_subparsers(dest="sub")
@@ -409,7 +391,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     tchk.add_argument("--k", type=int, required=True)
     tchk.add_argument("--trunc", type=int, required=True)
     tchk.add_argument("--pairs", type=int, default=1000)
-    tchk.add_argument("--seed", type=int, default=None)
+    tchk.add_argument("--seed", type=int, default=0)
     tchk.add_argument("--out", default=None)
     tchk.set_defaults(func=_cmd_torus_check)
 
@@ -437,12 +419,7 @@ def run(argv: Sequence[str]) -> int:
             return 2
         command = " ".join(argv[:2])
         args = leaf.parse_args(argv[2:])
-        if getattr(args, "config", None):
-            args = leaf.parse_args(argv[2:] + _config_file_flags(args.config, command))
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = int(os.environ.get(SEED_ENV_VAR) or 0)
-        flags = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
-        config = {"command": command, **flags}
+        config = {"command": command, **{k: v for k, v in vars(args).items() if k != "func"}}
         # hashed before the run, which may overwrite an input with its output
         inputs = [_file_sha256(path) for path in _input_paths(args)]
         start = time.perf_counter()

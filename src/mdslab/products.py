@@ -12,7 +12,6 @@ pi * (d_1 + ... + d_k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,15 +54,8 @@ def verify_product_embedding(direct: EmbeddingResult, left: EmbeddingResult,
     return float(np.max(np.abs(_dist_sq_matrix(Ep) - predicted)))
 
 
-@dataclass(frozen=True, eq=False)
-class TorusCheck:
-    max_error: float
-    factor_dist: np.ndarray
-    embedded_sq: np.ndarray
-
-
 def torus_check(n_per_factor: int, k_factors: int, trunc: int,
-                n_pairs: int = 1000, seed: int = 0) -> TorusCheck:
+                n_pairs: int = 1000, seed: int = 0) -> float:
     """Flat-torus embedding identity through the finite circle embedding.
 
     Each circle factor is a grid of ``n_per_factor`` points, embedded with
@@ -71,8 +63,8 @@ def torus_check(n_per_factor: int, k_factors: int, trunc: int,
     grids) by :func:`circle_grid_embedding`; by factor additivity the torus
     squared embedding distance is the sum of per-factor values, and it is
     compared against pi * sum_f dist_circle(x_f, y_f) over random grid point
-    pairs. Grids must be fine enough that each factor's truncation tail
-    stays within the shared error budget.
+    pairs; returns the max absolute error. Grids must be fine enough that
+    each factor's truncation tail stays within the shared error budget.
     """
     if trunc < 1 or trunc % 2 == 0:
         raise ValueError(f"truncation degree must be odd and >= 1, got {trunc}")
@@ -90,5 +82,4 @@ def torus_check(n_per_factor: int, k_factors: int, trunc: int,
     arc = _circle_arc(thetas[idx[:, 0, :]], thetas[idx[:, 1, :]])
     # the grid is a group: the squared distance of (a, b) is that of (0, a - b)
     embedded_sq = np.sum(sq_from_0[(idx[:, 0, :] - idx[:, 1, :]) % n_per_factor], axis=1)
-    err = float(np.max(np.abs(embedded_sq - math.pi * np.sum(arc, axis=1))))
-    return TorusCheck(max_error=err, factor_dist=arc, embedded_sq=embedded_sq)
+    return float(np.max(np.abs(embedded_sq - math.pi * np.sum(arc, axis=1))))

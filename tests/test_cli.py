@@ -1,4 +1,4 @@
-"""CLI: exit codes, determinism, config round-trip, claim registry."""
+"""CLI: exit codes, determinism, run-record replay, claim registry."""
 from __future__ import annotations
 
 import argparse
@@ -29,7 +29,6 @@ from mdslab.cli import (
     CLAIMS,
     ConfigError,
     _build_parser,
-    _config_file_flags,
     emit_table,
     parse_space,
     run,
@@ -68,18 +67,13 @@ def registered_subparsers() -> dict:
 
 def parsed_flags(parse, argv: list[str]):
     """The flags ``run`` records for ``argv`` parsed by ``parse`` as sorted JSON,
-    a ``--config`` file merged as ``run`` merges it, or the exit code of a
-    usage error."""
+    or the exit code of a usage error."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             args = parse(argv)
-            if getattr(args, "config", None):
-                args = parse(argv + _config_file_flags(args.config, " ".join(argv[:2])))
         except SystemExit as exc:
             return exc.code
-        except (ValueError, OSError) as exc:  # an unreadable config file
-            return type(exc).__name__
-    flags = {k: v for k, v in vars(args).items() if k not in ("group", "sub", "func", "config")}
+    flags = {k: v for k, v in vars(args).items() if k not in ("group", "sub", "func")}
     return json.dumps(flags, sort_keys=True)  # as the record hashes it, NaN included
 
 
@@ -114,9 +108,18 @@ def read_record(out: Path) -> dict:
     return json.loads(Path(f"{out}.run.json").read_text())
 
 
-def write_json(path: Path, data) -> str:
-    path.write_text(json.dumps(data))
-    return str(path)
+def command_flags(space: Path) -> dict[str, list[str]]:
+    """Flags, ``--out`` aside, that run each command on the space CSV ``space``."""
+    return {
+        "space gen": ["--space", "circle", "--n", "8"],
+        "mds embed": ["--input", str(space), "--m", "2"],
+        "mds krein": ["--input", str(space)],
+        "sphere eigen": ["--dim", "1", "--degree", "1", "--method", "quadrature"],
+        "sphere asymptotics": ["--dim", "1", "--nmin", "2", "--nmax", "3"],
+        "stability converge": ["--sizes", "8,16"],
+        "product check": ["--factors", f"{space},{space}"],
+        "torus check": ["--n", "8", "--k", "1", "--trunc", "3", "--pairs", "5"],
+    }
 
 
 class TestParseSpace:
@@ -134,27 +137,24 @@ class TestParseSpace:
 
 
 class TestConfig:
-    """A run's config is its parsed flags, and a ``--config`` file passes
-    through the same parser."""
+    """A run's config is its parsed flags, and argv is its only source."""
 
-    def test_round_trip(self, tmp_path):
-        out = tmp_path / "conv.csv"
-        assert run(["stability", "converge", "--space", "circle", "--sizes", "8,16",
-                    "--refine", "2", "--out", str(out)]) == 0
-        record, table = read_record(out), out.read_bytes()
-        cfg_path = write_json(tmp_path / "cfg.json", record["config"])
-        assert run(["stability", "converge", "--config", cfg_path]) == 0
-        assert read_record(out)["config"] == record["config"]
-        assert read_record(out)["config_hash"] == record["config_hash"]
-        assert out.read_bytes() == table
-
-    def test_unknown_keys_rejected(self, tmp_path, capsys):
-        out = tmp_path / "conv.csv"
-        cfg_path = write_json(tmp_path / "cfg.json", {"sizes": "8,16", "banana": 1,
-                                                      "out": str(out)})
-        assert run(["stability", "converge", "--config", cfg_path]) == 2
-        assert "unrecognized arguments: --banana=1" in capsys.readouterr().err
-        assert not out.exists()
+    def test_round_trip(self, tmp_path, capsys):
+        # every command's record config, as --key=value flags, reruns it with
+        # the same config, config hash and result bytes
+        space = tmp_path / "in.csv"
+        assert run(["space", "gen", "--space", "circle", "--n", "6", "--out", str(space)]) == 0
+        for command, flags in command_flags(space).items():
+            out = tmp_path / f"{command.replace(' ', '_')}.csv"
+            assert run([*command.split(), *flags, "--out", str(out)]) == 0
+            record, table = read_record(out), out.read_bytes()
+            replay = [f"--{key}={value}" for key, value in record["config"].items()
+                      if key != "command" and value is not None]
+            out.unlink()
+            assert run([*command.split(), *replay]) == 0
+            assert read_record(out)["config"] == record["config"], command
+            assert read_record(out)["config_hash"] == record["config_hash"], command
+            assert out.read_bytes() == table, command
 
     def test_hash_depends_on_content(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -167,61 +167,38 @@ class TestConfig:
             hashes.append(record["config_hash"])
         assert hashes[0] != hashes[1] and hashes[0] == hashes[2]
 
-    def test_record_config_is_every_flag(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("MDSLAB_SEED", raising=False)
+    def test_record_config_is_every_flag(self, tmp_path, capsys):
         space = tmp_path / "in.csv"
         assert run(["space", "gen", "--space", "circle", "--n", "6", "--out", str(space)]) == 0
-        argv = {
-            "space gen": ["--space", "circle", "--n", "8"],
-            "mds embed": ["--input", str(space), "--m", "2"],
-            "mds krein": ["--input", str(space)],
-            "sphere eigen": ["--dim", "1", "--degree", "1", "--method", "quadrature"],
-            "sphere asymptotics": ["--dim", "1", "--nmin", "2", "--nmax", "3"],
-            "stability converge": ["--sizes", "8,16"],
-            "product check": ["--factors", f"{space},{space}"],
-            "torus check": ["--n", "8", "--k", "1", "--trunc", "3", "--pairs", "5"],
-        }
+        argv = command_flags(space)
         subparsers = registered_subparsers()
         assert set(argv) == set(subparsers)
         for command, subparser in subparsers.items():
             out = tmp_path / "out.csv"
             assert run([*command.split(), *argv[command], "--out", str(out)]) == 0
             config = read_record(out)["config"]
-            dests = {action.dest for action in subparser._actions} - {"help", "config"}
+            dests = {action.dest for action in subparser._actions} - {"help"}
             assert set(config) == {"command"} | dests
             assert config["command"] == command
             assert config["out"] == str(out)
             if "seed" in dests:
                 assert config["seed"] == 0
 
-    @pytest.mark.parametrize("data,code", [
-        ({"command": "stability converge", "space": "circle", "sizes": "8,16", "m": 2}, 0),
-        ({"command": "stability converge", "space": "circle", "m": 2, "out": "file.csv"}, 0),
-        ({"command": "stability converge", "sizes": "8,16", "m": 2, "out": "file.csv"}, 0),
-        ({"command": "stability converge", "space": "circle", "sizes": "8,16", "m": "2",
-          "out": "file.csv"}, 0),
-        ({"command": "stability converge", "space": "circle", "sizes": [8, 16], "m": 2}, 2),
-        ({"command": "stability converge", "space": "circle", "sizes": [8, 16], "m": 2,
-          "p": None, "tol": None, "seed": None, "refine": 4, "out": "file.csv"}, 2),
-        ({"command": "stability converge", "out": None, "sizes": "8,16"}, 2),
-        ({"command": "space gen", "space": "circle"}, 2),
-        (["stability converge"], 2),
-    ], ids=["no_out", "no_sizes", "no_space", "m_string", "sizes_list", "old_nine_key_record",
-            "out_null", "other_command", "not_an_object"])
-    def test_config_file_runs_or_exits_2(self, tmp_path, monkeypatch, capsys, data, code):
-        # the file overrides the flags it names; the rest keep their command-line values
-        monkeypatch.chdir(tmp_path)
-        cfg_path = write_json(tmp_path / "cfg.json", data)
-        assert run(["stability", "converge", "--sizes", "8,16", "--m", "1",
-                    "--out", "flags.csv", "--config", cfg_path]) == code
-        if code:
-            assert "error" in capsys.readouterr().err
-            assert not list(tmp_path.glob("*.csv"))
-            assert not (tmp_path / "None").exists()
-            return
-        config = read_record(tmp_path / data.get("out", "flags.csv"))["config"]
-        assert config == {"command": "stability converge", "space": "circle", "sizes": "8,16",
-                          "m": 2, "refine": 4, "out": data.get("out", "flags.csv")}
+    def test_no_module_reads_the_environment(self):
+        # a variable read from the environment would be a config input that
+        # the record neither holds nor hashes
+        found = []
+        for path in sorted(Path(mdslab.__file__).resolve().parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                found += [(path.name, node.lineno) for name in names
+                          if name in ("environ", "environb", "getenv", "getenvb")]
+        assert found == []
 
 
 class TestEmitTable:
@@ -423,13 +400,15 @@ class TestRun:
          "ValueError: sample size must be >= 1, got 0"),
         (["sphere", "eigen", "--dim", "2", "--degree", "3", "--method", "series",
           "--kind", "snowflake"], "ConfigError: the series evaluator covers the full kernel only"),
+        (["sphere", "eigen", "--dim", "2", "--degree", "3", "--method", "quadrature",
+          "--tol", "1e-3"], "ConfigError: --tol sets the series stop only"),
         (["product", "check", "--factors", "one.csv"],
          "ConfigError: product check needs exactly two factor files"),
         (["mds", "embed", "--input", "one.csv", "--m", "0"],
          "DimensionMismatch: embedding dimension must be >= 1, got 0"),
     ], ids=["nmin_zero", "nmin_above_nmax", "normalized_overflow", "k_zero", "pairs_zero",
-            "trunc_even", "trailing_space_tokens", "n_zero", "series_snowflake", "one_factor",
-            "m_zero"])
+            "trunc_even", "trailing_space_tokens", "n_zero", "series_snowflake",
+            "quadrature_tol", "one_factor", "m_zero"])
     def test_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, argv, error):
         monkeypatch.chdir(tmp_path)
         write_space_csv(equilateral_triangle(), "one.csv")  # a real input, hashed before the run
@@ -649,17 +628,6 @@ class TestRun:
         assert "ValueError: the closed form covers sphere dimensions 1..1000" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        monkeypatch.setenv("MDSLAB_SEED", "77")
-        assert run(["space", "gen", "--space", "sphere:2", "--n", "6",
-                    "--mode", "random", "--out", str(a)]) == 0
-        monkeypatch.delenv("MDSLAB_SEED")
-        assert run(["space", "gen", "--space", "sphere:2", "--n", "6",
-                    "--mode", "random", "--seed", "77", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_product_check(self, tmp_path, capsys):
         tri_csv = tmp_path / "tri.csv"
         write_space_csv(equilateral_triangle(), str(tri_csv))
@@ -712,38 +680,19 @@ class TestRun:
         out = tmp_path / "conv.csv"
         assert run(["stability", "converge", "--sizes", "1024,2048,4096",
                     "--out", str(out)]) == 0
+        header = out.read_text().splitlines()[0]
+        assert header == "n,aligned_L2,gw2_images,w4,hs_gap_bound_lhs,hs_gap_bound_rhs"
         aligned = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
         ratios = aligned[:-1] / aligned[1:]
         assert np.all((3.9 <= ratios) & (ratios <= 4.1)), ratios
 
-    def test_converge_with_config_file(self, tmp_path):
-        out = tmp_path / "conv.csv"
-        cfg_path = write_json(tmp_path / "cfg.json", {
-            "command": "stability converge", "space": "circle", "sizes": "8,16", "m": 2,
-            "out": str(out)})
-        assert run(["stability", "converge", "--config", cfg_path]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "n,aligned_L2,gw2_images,w4,hs_gap_bound_lhs,hs_gap_bound_rhs"
-        assert len(lines) == 3
-
     @pytest.mark.parametrize("key,value", [("p", 2.0), ("tol", 1e-6), ("seed", 5)])
     def test_converge_config_rejects_unused_keys(self, tmp_path, capsys, key, value):
-        # keys the sweep has no flag for are unknown flags
+        # keys the sweep has no flag for, such as those of older records, are unknown flags
         out = tmp_path / "conv.csv"
-        cfg_path = write_json(tmp_path / "cfg.json", {
-            "command": "stability converge", "space": "circle", "sizes": "8,16", "m": 2,
-            "out": str(out), key: value})
-        assert run(["stability", "converge", "--config", cfg_path]) == 2
+        assert run(["stability", "converge", "--sizes", "8,16", "--out", str(out),
+                    f"--{key}={value}"]) == 2
         assert f"unrecognized arguments: --{key}={value}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_shortened_config_key_rejected(self, tmp_path, capsys):
-        # "ref" is a prefix of "refine", not a spelling of it
-        out = tmp_path / "conv.csv"
-        cfg_path = write_json(tmp_path / "cfg.json", {
-            "ref": 2, "sizes": "8,16", "out": str(out)})
-        assert run(["stability", "converge", "--config", cfg_path]) == 2
-        assert "unrecognized arguments: --ref=2" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

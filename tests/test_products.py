@@ -140,24 +140,33 @@ class TestAdditivity:
 
 class TestTorus:
     def test_small_torus_identity(self):
-        chk = torus_check(64, 2, 31, n_pairs=300, seed=3)
         # per-factor tail is about 8 / (2 * 31), so 0.3 is a comfortable roof
-        assert chk.max_error <= 0.3
+        assert torus_check(64, 2, 31, n_pairs=300, seed=3) <= 0.3
 
     def test_single_factor_matches_circle_snowflake(self):
-        chk = torus_check(128, 1, 63, n_pairs=400, seed=4)
         tail = math.pi**2 - 8.0 * sum(1.0 / k**2 for k in range(1, 64, 2))
-        assert chk.max_error <= tail + 0.02  # grid aliasing on top of the tail
+        # grid aliasing on top of the tail
+        assert torus_check(128, 1, 63, n_pairs=400, seed=4) <= tail + 0.02
 
     def test_bi_holder_window(self):
-        chk = torus_check(128, 2, 63, n_pairs=1500, seed=5)
+        # torus_check's pairs, rebuilt from the same seed: per-factor arc
+        # lengths and the summed squared embedding distances
+        n, k, trunc, pairs = 128, 2, 63, 1500
+        E = circle_grid_embedding(n, trunc + 1)
+        idx = np.random.default_rng(5).integers(0, n, size=(pairs, 2, k))
+        delta = 2 * math.pi * np.abs(idx[:, 0] - idx[:, 1]) / n
+        factor_dist = np.minimum(delta, 2 * math.pi - delta)
+        embedded_sq = np.sum((E[idx[:, 0]] - E[idx[:, 1]]) ** 2, axis=(1, 2))
+        max_error = np.max(np.abs(embedded_sq - math.pi * np.sum(factor_dist, axis=1)))
+        assert max_error == pytest.approx(torus_check(n, k, trunc, n_pairs=pairs, seed=5),
+                                          abs=1e-12)
         # test the two-sided bound away from tiny factor distances, where the
         # truncation tail cannot mask the smaller factor's contribution
-        mask = np.min(chk.factor_dist, axis=1) >= 0.1
+        mask = np.min(factor_dist, axis=1) >= 0.1
         assert mask.sum() > 500
-        sq = chk.embedded_sq[mask]
-        dmax = np.max(chk.factor_dist[mask], axis=1)
-        dsum = np.sum(chk.factor_dist[mask], axis=1)
+        sq = embedded_sq[mask]
+        dmax = np.max(factor_dist[mask], axis=1)
+        dsum = np.sum(factor_dist[mask], axis=1)
         tol = 0.1
         assert np.all(math.pi * dmax <= sq + 1e-9)
         assert np.all(sq <= math.pi * dsum + tol)
@@ -178,7 +187,7 @@ class TestTorus:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tiny_grids_are_exact(self, n):
-        assert torus_check(n, 2, 3, n_pairs=20).max_error <= 1e-12
+        assert torus_check(n, 2, 3, n_pairs=20) <= 1e-12
 
     def test_huge_truncation_embeds_at_most_n_columns(self, monkeypatch):
         seen = []
@@ -188,7 +197,7 @@ class TestTorus:
             return circle_grid_embedding(n, m)
 
         monkeypatch.setattr(mdslab.products, "circle_grid_embedding", spy)
-        assert math.isfinite(torus_check(16, 2, 10**9 + 1, n_pairs=50).max_error)
+        assert math.isfinite(torus_check(16, 2, 10**9 + 1, n_pairs=50))
         assert seen == [16]
 
     def test_rejects_zero_pairs(self):

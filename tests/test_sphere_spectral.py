@@ -504,24 +504,25 @@ class TestQuadrature:
 
 def zonal_oracle(d: int, j: int, t) -> float:
     """G_j(t) at 40 digits, t a float or an mpf: cos(j arccos t) on the circle,
-    C_j^nu(t) / C_j^nu(1) above."""
+    C_j^nu(t) / C_j^nu(1) above. It is (-1)^j G_j(|t|) for t < 0: near t = -1
+    mpmath's Gegenbauer value loses every digit at high degree (it reads 0.0
+    for G_1024 of S^50 at t = -0.99999)."""
     with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        sign = (-1) ** j if t < 0 else 1
+        t = abs(t)
         if d == 1:
-            return float(mpmath.cos(j * mpmath.acos(t)))
+            return sign * float(mpmath.cos(j * mpmath.acos(t)))
         nu = mpmath.mpf(d - 1) / 2
         # zeroprec: at a zero of C_j^nu (t = 0, odd j) settle for an absolute 2^-200
-        return float(mpmath.gegenbauer(j, nu, t, zeroprec=200) / mpmath.gegenbauer(j, nu, 1))
+        return sign * float(mpmath.gegenbauer(j, nu, t, zeroprec=200)
+                            / mpmath.gegenbauer(j, nu, 1))
 
 
 def zonal_angle_oracle(d: int, j: int, phi: float) -> float:
-    """G_j(cos phi) at 40 digits at the float angle phi itself. Past pi / 2 it is
-    (-1)^j G_j(cos(pi - phi)): near t = -1 mpmath's Gegenbauer value loses every
-    digit at high degree (it reads 0.0 for G_1024 of S^50 at phi = pi)."""
+    """G_j(cos phi) at 40 digits at the float angle phi itself."""
     with mpmath.workdps(40):
-        angle, sign = mpmath.mpf(phi), 1
-        if angle > mpmath.pi / 2:
-            angle, sign = mpmath.pi - angle, (-1) ** j
-        return sign * zonal_oracle(d, j, mpmath.cos(angle))
+        return zonal_oracle(d, j, mpmath.cos(mpmath.mpf(phi)))
 
 
 class TestZonal:
@@ -557,6 +558,12 @@ class TestZonal:
             for j in (1, 2, 3, 10, 51, 99, 200):
                 expect = np.array([zonal_oracle(d, j, float(x)) for x in t])
                 assert np.max(np.abs(zonal_value(d, j, t) - expect)) <= 3e-14, (d, j)
+
+    def test_oracle_near_minus_one_at_high_degree(self):
+        # mpmath's Gegenbauer value at t = -0.99999 itself reads 0.0
+        t = -0.99999
+        assert zonal_oracle(50, 1024, t) == pytest.approx(0.80196496284701199, abs=1e-15)
+        assert abs(zonal_value(50, 1024, np.array([t]))[0] - zonal_oracle(50, 1024, t)) <= 3e-14
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 300), st.floats(-1.0, 1.0))
